@@ -47,13 +47,14 @@ race:
 	$(GO) test -race ./...
 
 # race-shard is the parallel-kernel gate: the shard determinism
-# matrices (sim- and build-level — every cell forces a worker pool
-# wider than one goroutine, so the race detector sees the real
-# concurrent deliver/tick phases even on small runners), the churn
-# property matrix (witness patching forced on across every profile ×
-# network size, each epoch checked bit-identical against a from-scratch
-# rebuild), plus a short chaos campaign running its partial builds on a
-# sharded kernel with a parallel pool.
+# matrices (sim-level against the sequential reference loop, and
+# build-level — cells force a worker pool wider than one goroutine, so
+# the race detector sees the real concurrent deliver/tick phases even
+# on small runners), the churn property matrix (witness patching forced
+# on across every profile × network size, each epoch checked
+# bit-identical against a from-scratch rebuild), plus a short chaos
+# campaign running its partial builds on four shards with a parallel
+# pool.
 race-shard:
 	$(GO) test -race -count=1 -run 'TestShard' ./internal/sim/ ./internal/core/
 	$(GO) test -race -count=1 -run 'TestChurnPropertyMatrix' ./internal/maintain/
@@ -72,11 +73,11 @@ bench:
 	$(GO) test -bench=. -benchmem -run='^$$' . ./internal/... | tee /dev/stderr | $(GO) run ./tools/benchjson > BENCH_$(DATE).json
 	@echo "wrote BENCH_$(DATE).json"
 
-# bench-smoke runs the sharded-vs-sequential Table 1 benchmark for a
-# single iteration and gates it against the newest committed
-# BENCH_<date>.json via benchjson -compare — enough for CI to catch a
-# kernel that stopped compiling or regressed catastrophically, without
-# the cost of a full benchmark run. The threshold is deliberately loose
+# bench-smoke runs the Table 1 shard-count benchmark (and the epoch
+# benchmark) for a single iteration and gates it against the newest
+# committed BENCH_<date>.json via benchjson -compare — enough for CI to
+# catch a kernel that stopped compiling or regressed catastrophically,
+# without the cost of a full benchmark run. The threshold is deliberately loose
 # (100%): the baseline was recorded on different hardware and a 1x run
 # is noisy; the gate is for order-of-magnitude regressions. BENCHBASE
 # overrides the baseline file, BENCHTHRESHOLD the fraction.

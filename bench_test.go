@@ -54,18 +54,13 @@ func BenchmarkTable1(b *testing.B) {
 
 // BenchmarkTable1Sharded measures the distributed pipeline behind
 // Table I at a scale where kernel cost dominates (n=2000 at constant
-// average degree ≈ 20): the sequential round loop against the sharded
-// executor across shard counts and worker-pool widths. Every variant
-// runs the identical instance (core.Build never mutates its input
-// graph) and each sub-benchmark first checks its output against the
-// sequential Result, so the numbers are strictly comparable.
+// average degree ≈ 20) across shard counts and worker-pool widths.
+// Every variant runs the identical instance (core.Build never mutates
+// its input graph) and each sub-benchmark first checks its output
+// against the default build's Result, so the numbers are strictly
+// comparable.
 //
-// Reading the results: the large sequential-vs-shards1 gap is NOT a
-// parallelism win — both run on one goroutine. The sharded executor
-// routes each broadcast into per-node mailboxes by binary search and
-// recycles mailbox slices through a free-list pool, where the
-// sequential kernel re-scans every receiver's neighbor list per inbox
-// message; shards1 isolates exactly that data-structure difference.
+// Reading the results: shards1 is the default kernel and the baseline.
 // The parallel speedup proper is shardsP/parK vs shards1 on a
 // multi-core runner (par1 rows pin the pool to one worker as the
 // like-for-like baseline). CI's bench-smoke job runs this benchmark
@@ -82,7 +77,6 @@ func BenchmarkTable1Sharded(b *testing.B) {
 		name string
 		opts []core.BuildOption
 	}{
-		{"sequential", nil},
 		{"shards1", []core.BuildOption{core.WithShards(1)}},
 	}
 	for _, p := range []int{2, 4, 8} {
@@ -105,7 +99,7 @@ func BenchmarkTable1Sharded(b *testing.B) {
 				b.Fatal(err)
 			}
 			if got.Rounds != want.Rounds || !got.LDelICDS.Equal(want.LDelICDS) {
-				b.Fatalf("%s: output diverges from the sequential kernel", v.name)
+				b.Fatalf("%s: output diverges from the default build", v.name)
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

@@ -46,8 +46,8 @@ func run(args []string) error {
 		outDir   = fs.String("out", ".", "output directory for SVG figures")
 		asCSV    = fs.Bool("csv", false, "emit CSV instead of an aligned table")
 		workers  = fs.Int("workers", 1, "goroutines running trials concurrently (output is identical for any value; 0 or 1 = sequential)")
-		shards   = fs.Int("shards", 0, "simulation-kernel shards per build (output is identical for any value; 0 = sequential kernel)")
-		parallel = fs.Int("parallel", 0, "worker-pool bound for the sharded kernel (output is identical for any value; 0 = GOMAXPROCS; no effect without -shards)")
+		shards   = fs.Int("shards", 0, "simulation-kernel shards per build (output is identical for any value; 0 = one shard)")
+		parallel = fs.Int("parallel", 0, "worker-pool bound for the simulation kernel (output is identical for any value; 0 = GOMAXPROCS; no effect on one shard)")
 		traceOut = fs.String("trace-out", "", "write the merged -exp trace event stream as JSON lines to this file (replay with tools/tracecat)")
 		dataDir  = fs.String("data", "", "write-ahead-log root for -exp churn: run the service durably (per-n subdirectories) and measure crash recovery")
 		profile  = fs.String("profile", "mixed", "churn event-mix profile for -exp churn: move, mixed, join-heavy, or all")
@@ -239,7 +239,7 @@ func runOne(name string, n int, radius float64, cfg experiments.Config, outDir s
 		if trials > 3 {
 			trials = 3 // Scale caps repeats per cell
 		}
-		return emit(fmt.Sprintf("Kernel scaling: sequential vs sharded simulation kernel (region=%g, trials=%d)",
+		return emit(fmt.Sprintf("Kernel scaling: simulation kernel by shard count (region=%g, trials=%d)",
 			cfg.Region, trials), tb, err)
 	case "churn":
 		ns := experiments.DefaultChurnNs()

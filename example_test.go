@@ -177,9 +177,9 @@ func ExampleBuildMany() {
 	// instance 2 planar: true
 }
 
-// ExampleWithShards runs one build on the sharded simulation kernel
-// with a bounded worker pool; the output is bit-identical to the
-// sequential kernel for any shard count or parallelism.
+// ExampleWithShards runs one build on four shards of the simulation
+// kernel with a bounded worker pool; the output is bit-identical to the
+// default one-shard build for any shard count or parallelism.
 func ExampleWithShards() {
 	inst, err := geospanner.GenerateInstance(5, 80, 200, 60)
 	if err != nil {

@@ -26,9 +26,9 @@
 // NewJSONLTracer, NewMetricsTracer). BuildMany runs a batch of instances,
 // in parallel under WithWorkers, with bit-identical results for any
 // worker count. WithShards parallelizes within one instance instead: the
-// simulator partitions the nodes into p shards that deliver and Tick
-// concurrently with deterministic merges, again bit-identical to the
-// sequential kernel for any p.
+// simulator partitions the nodes into p shards (one by default) that
+// deliver and Tick concurrently with deterministic merges, again
+// bit-identical for any p.
 //
 // When the network is damaged, WithPartialResults trades the all-or-nothing
 // contract for graceful degradation: Build partitions the live graph, runs
@@ -173,22 +173,22 @@ func WithTracer(t Tracer) Option { return core.WithTracer(t) }
 // sequential). Results and merged traces are bit-identical for any value.
 func WithWorkers(w int) Option { return core.WithWorkers(w) }
 
-// WithShards runs every protocol stage on the sharded simulation kernel
-// with p shards: within each round, message delivery and per-node Ticks
-// execute concurrently across p static node partitions, with shard-local
-// outboxes merged deterministically. All outputs — graphs, message
+// WithShards runs every protocol stage of the simulation kernel on p
+// shards: within each round, message delivery and per-node Ticks execute
+// concurrently across p contiguous node partitions, with shard-local
+// buffers merged deterministically. All outputs — graphs, message
 // counters, rounds, trace events — are bit-identical to the default
-// sequential kernel for any p, so sharding is purely a performance knob.
+// one-shard run for any p, so sharding is purely a performance knob.
 // Where WithWorkers parallelizes across instances (BuildMany), WithShards
 // parallelizes within one instance; the two compose. p <= 0 (the default)
-// keeps the sequential kernel.
+// means one shard.
 func WithShards(p int) Option { return core.WithShards(p) }
 
-// WithParallelism bounds the worker pool the sharded kernel runs its
+// WithParallelism bounds the worker pool the simulation kernel runs its
 // shards on: k workers execute the p shards of each deliver and Tick
 // phase (k <= 0, the default, means GOMAXPROCS; k is clamped to the
 // shard count). Like WithShards it never changes any output — only
-// wall-clock time — and it has no effect without WithShards. Use it to
+// wall-clock time — and it has no effect on a one-shard build. Use it to
 // stop a sharded build from oversubscribing a machine that is also
 // running BuildMany workers or other loads.
 func WithParallelism(k int) Option { return core.WithParallelism(k) }

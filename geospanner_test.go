@@ -40,7 +40,7 @@ func TestPublicPipeline(t *testing.T) {
 }
 
 // TestPublicShardedBuild pins the facade's WithShards contract: a sharded
-// build is bit-identical to the default sequential build — graphs,
+// build is bit-identical to the default one-shard build — graphs,
 // ledgers, rounds — for several shard counts, including composed with
 // WithWorkers through BuildMany.
 func TestPublicShardedBuild(t *testing.T) {
@@ -58,7 +58,7 @@ func TestPublicShardedBuild(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !got.LDelICDS.Equal(want.LDelICDS) || !got.LDelICDSPrime.Equal(want.LDelICDSPrime) {
-			t.Fatalf("shards=%d: output graphs diverge from sequential build", p)
+			t.Fatalf("shards=%d: output graphs diverge from the default build", p)
 		}
 		if got.Rounds != want.Rounds {
 			t.Fatalf("shards=%d: rounds %+v, want %+v", p, got.Rounds, want.Rounds)

@@ -251,55 +251,65 @@ func RunAsync(g *graph.Graph, seed int64, maxDelay int, opts ...sim.AsyncOption)
 
 // Centralized computes the same clustering as Run without message passing:
 // the lexicographically-first MIS (a node is a dominator if and only if no
-// smaller-ID neighbor is a dominator), with the same dominator and
-// two-hop-dominator bookkeeping.
+// smaller-ID neighbor is a dominator), with the bookkeeping Derive adds.
 func Centralized(g *graph.Graph) *Result {
+	isDom := make([]bool, g.N())
+	for v := range isDom {
+		isDom[v] = true
+		for _, u := range g.Neighbors(v) {
+			if u < v && isDom[u] {
+				isDom[v] = false
+				break
+			}
+		}
+	}
+	return Derive(g, isDom)
+}
+
+// Derive completes a clustering of g from its dominator set: nodes with
+// isDom set are dominators, every other node a dominatee. DominatorsOf[v]
+// lists the dominators adjacent to a dominatee v, and
+// TwoHopDominators[v] the dominators of v's neighbors that are neither v
+// nor adjacent to it — exactly what v learns from overheard IamDominatee
+// messages. It is the one derivation of the dominator bookkeeping:
+// Centralized, CentralizedWeighted, and incremental maintenance (over the
+// alive graph, dead nodes isolated) all call it.
+func Derive(g *graph.Graph, isDom []bool) *Result {
 	n := g.N()
 	res := &Result{
 		Status:           make([]Status, n),
 		DominatorsOf:     make([][]int, n),
 		TwoHopDominators: make([][]int, n),
 	}
-	isDom := make([]bool, n)
-	for v := 0; v < n; v++ {
-		dom := true
-		for _, u := range g.Neighbors(v) {
-			if u < v && isDom[u] {
-				dom = false
-				break
-			}
-		}
-		if dom {
-			isDom[v] = true
-			res.Status[v] = Dominator
-			res.Dominators = append(res.Dominators, v)
-		} else {
-			res.Status[v] = Dominatee
-		}
-	}
 	for v := 0; v < n; v++ {
 		if isDom[v] {
+			res.Status[v] = Dominator
+			res.Dominators = append(res.Dominators, v)
 			continue
 		}
+		res.Status[v] = Dominatee
 		for _, u := range g.Neighbors(v) {
 			if isDom[u] {
 				res.DominatorsOf[v] = append(res.DominatorsOf[v], u)
 			}
 		}
 	}
-	// Two-hop dominators: u is a two-hop dominator of v when u is a
-	// dominator of some neighbor w of v and u is not adjacent to v. This
-	// mirrors what nodes learn from overheard IamDominatee messages.
+	seen := make([]int, n) // seen[u] == v+1: dominator u already considered for v
 	for v := 0; v < n; v++ {
-		two := make(map[int]bool)
+		var two []int
 		for _, w := range g.Neighbors(v) {
 			for _, u := range res.DominatorsOf[w] {
-				if u != v && !g.HasEdge(u, v) {
-					two[u] = true
+				if u == v || seen[u] == v+1 {
+					continue
+				}
+				seen[u] = v + 1
+				if !g.HasEdge(u, v) {
+					two = append(two, u)
 				}
 			}
 		}
-		res.TwoHopDominators[v] = sortedKeys(two)
+		sort.Ints(two)
+		res.TwoHopDominators[v] = two
 	}
 	return res
 }

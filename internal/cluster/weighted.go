@@ -138,7 +138,7 @@ func RunWeighted(g *graph.Graph, weights []float64, maxRounds int) (*Result, *si
 
 // CentralizedWeighted computes the same clustering as RunWeighted without
 // message passing: process nodes in rank order; a node becomes a dominator
-// iff no higher-ranked neighbor already is.
+// iff no higher-ranked neighbor already is. Derive adds the bookkeeping.
 func CentralizedWeighted(g *graph.Graph, weights []float64) (*Result, error) {
 	if len(weights) != g.N() {
 		return nil, fmt.Errorf("clustering: %d weights for %d nodes", len(weights), g.N())
@@ -154,49 +154,17 @@ func CentralizedWeighted(g *graph.Graph, weights []float64) (*Result, error) {
 			order[j], order[j-1] = order[j-1], order[j]
 		}
 	}
-	res := &Result{
-		Status:           make([]Status, n),
-		DominatorsOf:     make([][]int, n),
-		TwoHopDominators: make([][]int, n),
-	}
 	isDom := make([]bool, n)
 	for _, v := range order {
-		dom := true
+		isDom[v] = true
 		for _, u := range g.Neighbors(v) {
-			if isDom[u] {
-				dom = false
+			if u != v && isDom[u] {
+				isDom[v] = false
 				break
 			}
 		}
-		if dom {
-			isDom[v] = true
-		}
 	}
-	for v := 0; v < n; v++ {
-		if isDom[v] {
-			res.Status[v] = Dominator
-			res.Dominators = append(res.Dominators, v)
-		} else {
-			res.Status[v] = Dominatee
-			for _, u := range g.Neighbors(v) {
-				if isDom[u] {
-					res.DominatorsOf[v] = append(res.DominatorsOf[v], u)
-				}
-			}
-		}
-	}
-	for v := 0; v < n; v++ {
-		two := make(map[int]bool)
-		for _, w := range g.Neighbors(v) {
-			for _, u := range res.DominatorsOf[w] {
-				if u != v && !g.HasEdge(u, v) {
-					two[u] = true
-				}
-			}
-		}
-		res.TwoHopDominators[v] = sortedKeys(two)
-	}
-	return res, nil
+	return Derive(g, isDom), nil
 }
 
 // DegreeWeights returns each node's UDG degree as its election weight —

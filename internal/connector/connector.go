@@ -31,7 +31,6 @@ package connector
 
 import (
 	"fmt"
-	"sort"
 
 	"geospanner/internal/cluster"
 	"geospanner/internal/graph"
@@ -62,11 +61,6 @@ type MsgIamConnector struct {
 // Type implements sim.Message.
 func (MsgIamConnector) Type() string { return "IamConnector" }
 
-type pairKey struct {
-	u, v  int
-	stage int
-}
-
 // Options tunes connector election. The zero value is the paper's
 // Algorithm 1.
 type Options struct {
@@ -79,19 +73,43 @@ type Options struct {
 	SingleOrientation bool
 }
 
+// ProposalKeys calls fn for every stage-0 and stage-1 election a
+// dominatee with the given sorted dominator and two-hop-dominator lists
+// proposes itself for, in broadcast order: Algorithm 1 step 3 (one
+// stage-0 key per pair of its dominators, U < V), then step 5 (one
+// stage-1 key per own dominator U and two-hop dominator V, only U < V
+// under SingleOrientation). It is the one enumeration of proposals: the
+// protocol's Init, the centralized election, and incremental maintenance
+// all call it.
+func ProposalKeys(doms, twoHop []int, opts Options, fn func(KeyID)) {
+	for i, u := range doms {
+		for _, v := range doms[i+1:] {
+			fn(KeyID{U: u, V: v, Stage: 0})
+		}
+	}
+	for _, u := range doms {
+		for _, v := range twoHop {
+			if opts.SingleOrientation && u > v {
+				continue
+			}
+			fn(KeyID{U: u, V: v, Stage: 1})
+		}
+	}
+}
+
 // node is the per-node protocol state machine for Algorithm 1.
 type node struct {
-	id     int
-	opts   Options
-	status cluster.Status
-	doms   []int // adjacent dominators
-	twoHop map[int]bool
-	// twoHops holds twoHop's keys, sorted; broadcasts iterate these so
-	// the message order (and any attached trace) is deterministic.
-	twoHops  []int
-	proposed map[pairKey]bool
-	minHeard map[pairKey]int   // smallest neighbor ID heard proposing key
-	triggers map[pairKey][]int // stage-1 winners that triggered a stage-2 proposal
+	id      int
+	opts    Options
+	status  cluster.Status
+	doms    []int // adjacent dominators, sorted
+	twoHops []int // two-hop dominators, sorted
+	// proposed, minHeard, and triggers are keyed by election: the keys
+	// this node proposed, the smallest neighbor ID heard proposing each
+	// key, and the stage-1 winners that triggered a stage-2 proposal.
+	proposed map[KeyID]bool
+	minHeard map[KeyID]int
+	triggers map[KeyID][]int
 	elected  bool
 	edges    []graph.Edge
 	round    int
@@ -100,42 +118,29 @@ type node struct {
 var _ sim.Protocol = (*node)(nil)
 
 func (n *node) Init(ctx *sim.Context) {
-	n.proposed = make(map[pairKey]bool)
-	n.minHeard = make(map[pairKey]int)
-	n.triggers = make(map[pairKey][]int)
+	n.proposed = make(map[KeyID]bool)
+	n.minHeard = make(map[KeyID]int)
+	n.triggers = make(map[KeyID][]int)
 	if n.status != cluster.Dominatee {
 		return
 	}
-	// Step 3: 2-hop pairs between own dominators.
-	for i, u := range n.doms {
-		for _, v := range n.doms[i+1:] {
-			n.propose(ctx, pairKey{u: u, v: v, stage: 0})
-		}
-	}
-	// Step 5: first node of 3-hop paths from an own dominator to a
-	// two-hop dominator.
-	for _, u := range n.doms {
-		for _, v := range n.twoHops {
-			if n.opts.SingleOrientation && u > v {
-				continue
-			}
-			n.propose(ctx, pairKey{u: u, v: v, stage: 1})
-		}
-	}
+	// Steps 3 and 5: 2-hop pairs between own dominators, then first nodes
+	// of 3-hop paths from an own dominator to a two-hop dominator.
+	ProposalKeys(n.doms, n.twoHops, n.opts, func(k KeyID) { n.propose(ctx, k) })
 }
 
-func (n *node) propose(ctx *sim.Context, k pairKey) {
+func (n *node) propose(ctx *sim.Context, k KeyID) {
 	if n.proposed[k] {
 		return
 	}
 	n.proposed[k] = true
-	ctx.Broadcast(MsgTryConnector{U: k.u, V: k.v, Stage: k.stage})
+	ctx.Broadcast(MsgTryConnector{U: k.U, V: k.V, Stage: k.Stage})
 }
 
 func (n *node) Handle(ctx *sim.Context, from int, m sim.Message) {
 	switch msg := m.(type) {
 	case MsgTryConnector:
-		k := pairKey{u: msg.U, v: msg.V, stage: msg.Stage}
+		k := KeyID{U: msg.U, V: msg.V, Stage: msg.Stage}
 		if cur, ok := n.minHeard[k]; !ok || from < cur {
 			n.minHeard[k] = from
 		}
@@ -146,17 +151,18 @@ func (n *node) Handle(ctx *sim.Context, from int, m sim.Message) {
 		// Step 7: the sender is the first node of a 3-hop path from
 		// msg.U; respond as a candidate second node when msg.V is an own
 		// dominator and msg.U is a two-hop dominator.
-		if !n.hasDominator(msg.V) || !n.twoHop[msg.U] {
+		if !contains(n.doms, msg.V) || !contains(n.twoHops, msg.U) {
 			return
 		}
-		k := pairKey{u: msg.U, v: msg.V, stage: 2}
+		k := KeyID{U: msg.U, V: msg.V, Stage: 2}
 		n.triggers[k] = append(n.triggers[k], from)
 	}
 }
 
-func (n *node) hasDominator(d int) bool {
-	for _, u := range n.doms {
-		if u == d {
+// contains reports whether x is in list.
+func contains(list []int, x int) bool {
+	for _, v := range list {
+		if v == x {
 			return true
 		}
 	}
@@ -173,11 +179,11 @@ func (n *node) Tick(ctx *sim.Context, round int) {
 	case 2:
 		// Step 7: propose as second node for every triggered key, in
 		// sorted key order so the broadcast order is deterministic.
-		keys := make([]pairKey, 0, len(n.triggers))
+		keys := make([]KeyID, 0, len(n.triggers))
 		for k := range n.triggers {
 			keys = append(keys, k)
 		}
-		sortPairKeys(keys)
+		SortKeyIDs(keys)
 		for _, k := range keys {
 			n.propose(ctx, k)
 		}
@@ -191,13 +197,13 @@ func (n *node) Tick(ctx *sim.Context, round int) {
 // where its own ID is smaller than every neighbor it heard proposing the
 // same key.
 func (n *node) electStage(ctx *sim.Context, stage int) {
-	keys := make([]pairKey, 0, len(n.proposed))
+	keys := make([]KeyID, 0, len(n.proposed))
 	for k := range n.proposed {
-		if k.stage == stage {
+		if k.Stage == stage {
 			keys = append(keys, k)
 		}
 	}
-	sortPairKeys(keys)
+	SortKeyIDs(keys)
 	for _, k := range keys {
 		if minID, heard := n.minHeard[k]; heard && minID < n.id {
 			continue
@@ -206,31 +212,19 @@ func (n *node) electStage(ctx *sim.Context, stage int) {
 			ctx.EmitState("connector")
 		}
 		n.elected = true
-		ctx.Broadcast(MsgIamConnector{U: k.u, V: k.v, Stage: k.stage})
-		switch k.stage {
+		ctx.Broadcast(MsgIamConnector{U: k.U, V: k.V, Stage: k.Stage})
+		switch k.Stage {
 		case 0:
-			n.edges = append(n.edges, graph.MakeEdge(k.u, n.id), graph.MakeEdge(n.id, k.v))
+			n.edges = append(n.edges, graph.MakeEdge(k.U, n.id), graph.MakeEdge(n.id, k.V))
 		case 1:
-			n.edges = append(n.edges, graph.MakeEdge(k.u, n.id))
+			n.edges = append(n.edges, graph.MakeEdge(k.U, n.id))
 		case 2:
-			n.edges = append(n.edges, graph.MakeEdge(n.id, k.v))
+			n.edges = append(n.edges, graph.MakeEdge(n.id, k.V))
 			for _, w := range n.triggers[k] {
 				n.edges = append(n.edges, graph.MakeEdge(w, n.id))
 			}
 		}
 	}
-}
-
-func sortPairKeys(keys []pairKey) {
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].u != keys[j].u {
-			return keys[i].u < keys[j].u
-		}
-		if keys[i].v != keys[j].v {
-			return keys[i].v < keys[j].v
-		}
-		return keys[i].stage < keys[j].stage
-	})
 }
 
 func (n *node) Done() bool { return n.round >= 3 }
@@ -268,16 +262,11 @@ func Run(g *graph.Graph, cl *cluster.Result, maxRounds int, simOpts ...sim.Optio
 func RunOpts(g *graph.Graph, cl *cluster.Result, maxRounds int, opts Options, simOpts ...sim.Option) (*Result, *sim.Network, error) {
 	simOpts = append([]sim.Option{sim.WithStage(Stage)}, simOpts...)
 	net := sim.NewNetwork(g, func(id int) sim.Protocol {
-		twoHop := make(map[int]bool, len(cl.TwoHopDominators[id]))
-		for _, d := range cl.TwoHopDominators[id] {
-			twoHop[d] = true
-		}
 		return &node{
 			id:      id,
 			opts:    opts,
 			status:  cl.Status[id],
 			doms:    cl.DominatorsOf[id],
-			twoHop:  twoHop,
 			twoHops: cl.TwoHopDominators[id],
 		}
 	}, simOpts...)
@@ -346,118 +335,57 @@ func assemble(g *graph.Graph, cl *cluster.Result, isConnector []bool, edges []gr
 	return res
 }
 
-// Centralized computes the same Result as Run without message passing, by
-// mirroring the election rules deterministically. Tests assert Run and
-// Centralized agree on every instance.
+// Centralized computes the same Result as Run without message passing:
+// every election is decided by RecomputeRecord, the rule the incremental
+// patch path uses too. Tests assert Run and Centralized agree on every
+// instance.
 func Centralized(g *graph.Graph, cl *cluster.Result) *Result {
 	return CentralizedOpts(g, cl, Options{})
 }
 
 // CentralizedOpts is Centralized with explicit election options.
 func CentralizedOpts(g *graph.Graph, cl *cluster.Result, opts Options) *Result {
-	n := g.N()
-	isDominatee := func(v int) bool { return cl.Status[v] == cluster.Dominatee }
-	twoHop := make([]map[int]bool, n)
-	for v := 0; v < n; v++ {
-		twoHop[v] = make(map[int]bool, len(cl.TwoHopDominators[v]))
-		for _, d := range cl.TwoHopDominators[v] {
-			twoHop[v][d] = true
+	isConnector := make([]bool, g.N())
+	var edges []graph.Edge
+	electAll(graphView{g}, cl, opts, func(_ KeyID, rec *KeyRecord) {
+		for _, w := range rec.Winners {
+			isConnector[w] = true
 		}
-	}
-	hasDominator := func(v, d int) bool {
-		for _, u := range cl.DominatorsOf[v] {
-			if u == d {
-				return true
-			}
-		}
-		return false
-	}
+		edges = append(edges, rec.Edges...)
+	})
+	return assemble(g, cl, isConnector, edges)
+}
 
-	// Stage 0 and 1 proposals.
-	proposers := make(map[pairKey][]int)
-	for w := 0; w < n; w++ {
-		if !isDominatee(w) {
+// electAll decides every election of Algorithm 1 through RecomputeRecord
+// and hands each existing key's record to fn: the stage-0/1 keys some
+// dominatee proposes (ProposalKeys), in first-proposal order, each
+// stage-1 key followed by its stage-2 sibling, which reads the stage-1
+// winners.
+func electAll(view View, cl *cluster.Result, opts Options, fn func(KeyID, *KeyRecord)) {
+	seen := make(map[KeyID]bool)
+	var keys []KeyID
+	for w, st := range cl.Status {
+		if st != cluster.Dominatee {
 			continue
 		}
-		doms := cl.DominatorsOf[w]
-		for i, u := range doms {
-			for _, v := range doms[i+1:] {
-				k := pairKey{u: u, v: v, stage: 0}
-				proposers[k] = append(proposers[k], w)
+		ProposalKeys(cl.DominatorsOf[w], cl.TwoHopDominators[w], opts, func(k KeyID) {
+			if !seen[k] {
+				seen[k] = true
+				keys = append(keys, k)
 			}
+		})
+	}
+	for _, k := range keys {
+		rec := RecomputeRecord(view, cl, k, nil)
+		if rec == nil {
+			continue
 		}
-		for _, u := range doms {
-			for v := range twoHop[w] {
-				if opts.SingleOrientation && u > v {
-					continue
-				}
-				k := pairKey{u: u, v: v, stage: 1}
-				proposers[k] = append(proposers[k], w)
+		fn(k, rec)
+		if k.Stage == 1 {
+			k2 := KeyID{U: k.U, V: k.V, Stage: 2}
+			if rec2 := RecomputeRecord(view, cl, k2, rec.Winners); rec2 != nil {
+				fn(k2, rec2)
 			}
 		}
 	}
-
-	elect := func(k pairKey, cands []int) []int {
-		var winners []int
-		for _, w := range cands {
-			won := true
-			for _, x := range cands {
-				if x < w && g.HasEdge(w, x) {
-					won = false
-					break
-				}
-			}
-			if won {
-				winners = append(winners, w)
-			}
-		}
-		return winners
-	}
-
-	isConnector := make([]bool, n)
-	var edges []graph.Edge
-	stage1Winners := make(map[pairKey][]int)
-	for k, cands := range proposers {
-		winners := elect(k, cands)
-		for _, w := range winners {
-			isConnector[w] = true
-			switch k.stage {
-			case 0:
-				edges = append(edges, graph.MakeEdge(k.u, w), graph.MakeEdge(w, k.v))
-			case 1:
-				edges = append(edges, graph.MakeEdge(k.u, w))
-				stage1Winners[k] = append(stage1Winners[k], w)
-			}
-		}
-	}
-
-	// Stage 2: dominatees adjacent to a stage-1 winner respond.
-	responders := make(map[pairKey][]int)
-	triggersOf := make(map[[3]int][]int) // (u, v, x) -> stage-1 winners adjacent to x
-	for k, winners := range stage1Winners {
-		k2 := pairKey{u: k.u, v: k.v, stage: 2}
-		for _, w := range winners {
-			for _, x := range g.Neighbors(w) {
-				if !isDominatee(x) || !hasDominator(x, k.v) || !twoHop[x][k.u] {
-					continue
-				}
-				tk := [3]int{k.u, k.v, x}
-				if len(triggersOf[tk]) == 0 {
-					responders[k2] = append(responders[k2], x)
-				}
-				triggersOf[tk] = append(triggersOf[tk], w)
-			}
-		}
-	}
-	for k2, cands := range responders {
-		for _, x := range elect(k2, cands) {
-			isConnector[x] = true
-			edges = append(edges, graph.MakeEdge(x, k2.v))
-			for _, w := range triggersOf[[3]int{k2.u, k2.v, x}] {
-				edges = append(edges, graph.MakeEdge(w, x))
-			}
-		}
-	}
-
-	return assemble(g, cl, isConnector, edges)
 }

@@ -59,28 +59,10 @@ type graphView struct{ g *graph.Graph }
 func (gv graphView) Adjacent(a, b int) bool     { return gv.g.HasEdge(a, b) }
 func (gv graphView) AliveNeighbors(v int) []int { return gv.g.Neighbors(v) }
 
-func hasDominator(cl *cluster.Result, v, d int) bool {
-	for _, u := range cl.DominatorsOf[v] {
-		if u == d {
-			return true
-		}
-	}
-	return false
-}
-
-func inTwoHop(cl *cluster.Result, v, d int) bool {
-	for _, u := range cl.TwoHopDominators[v] {
-		if u == d {
-			return true
-		}
-	}
-	return false
-}
-
 // electAmong returns the local minima of the sorted candidate set: w wins
-// unless a smaller-ID candidate is adjacent to it — exactly the rule of
-// Centralized's elect, so witnessed and monolithic elections agree by
-// construction.
+// unless a smaller-ID candidate is adjacent to it — Algorithm 1's
+// smallest-ID election (steps 4, 6, and 8), which the protocol's nodes
+// decide from the proposals they hear.
 func electAmong(view View, cands []int) []int {
 	var winners []int
 	for i, w := range cands {
@@ -116,14 +98,14 @@ func RecomputeRecord(view View, cl *cluster.Result, k KeyID, stage1Winners []int
 func recordStage01(view View, cl *cluster.Result, k KeyID) *KeyRecord {
 	var cands []int
 	for _, w := range view.AliveNeighbors(k.U) {
-		if cl.Status[w] != cluster.Dominatee || !hasDominator(cl, w, k.U) {
+		if cl.Status[w] != cluster.Dominatee || !contains(cl.DominatorsOf[w], k.U) {
 			continue
 		}
 		if k.Stage == 0 {
-			if !hasDominator(cl, w, k.V) {
+			if !contains(cl.DominatorsOf[w], k.V) {
 				continue
 			}
-		} else if !inTwoHop(cl, w, k.V) {
+		} else if !contains(cl.TwoHopDominators[w], k.V) {
 			continue
 		}
 		cands = append(cands, w)
@@ -154,7 +136,7 @@ func recordStage2(view View, cl *cluster.Result, k KeyID, stage1Winners []int) *
 	triggers := make(map[int][]int)
 	for _, w := range stage1Winners {
 		for _, x := range view.AliveNeighbors(w) {
-			if cl.Status[x] != cluster.Dominatee || !hasDominator(cl, x, k.V) || !inTwoHop(cl, x, k.U) {
+			if cl.Status[x] != cluster.Dominatee || !contains(cl.DominatorsOf[x], k.V) || !contains(cl.TwoHopDominators[x], k.U) {
 				continue
 			}
 			if len(triggers[x]) == 0 {
@@ -348,9 +330,9 @@ func equalInts(a, b []int) bool {
 }
 
 // Assemble builds the Result graphs from the witness's aggregated state —
-// the same construction Centralized's assemble performs from its elected
-// sets, so a witness maintained by exact splices yields a Result
-// bit-identical to a from-scratch election.
+// the same construction Centralized performs from its elected sets, so a
+// witness maintained by exact splices yields a Result bit-identical to a
+// from-scratch election.
 func (w *Witness) Assemble(g *graph.Graph, cl *cluster.Result) *Result {
 	isConnector := make([]bool, g.N())
 	for v, c := range w.wins {
@@ -381,50 +363,11 @@ func SortKeyIDs(keys []KeyID) {
 
 // CentralizedWitness computes the same Result as Centralized — the
 // regression tests pin the equality — while building the full election
-// witness: it enumerates every proposal key from the clustering, derives
-// each key's record through the same RecomputeRecord the maintenance patch
-// path uses, and assembles the Result from the aggregated records. g is
-// the alive unit disk graph (dead nodes isolated).
+// witness: it decides every key exactly as Centralized does and splices
+// each record into the witness, whose aggregated records then assemble
+// the Result. g is the alive unit disk graph (dead nodes isolated).
 func CentralizedWitness(g *graph.Graph, cl *cluster.Result) (*Result, *Witness) {
-	view := graphView{g}
 	wit := NewWitness()
-
-	keySet := make(map[KeyID]bool)
-	for w := 0; w < g.N(); w++ {
-		if cl.Status[w] != cluster.Dominatee {
-			continue
-		}
-		doms := cl.DominatorsOf[w]
-		for i, u := range doms {
-			for _, v := range doms[i+1:] {
-				keySet[KeyID{U: u, V: v, Stage: 0}] = true
-			}
-		}
-		for _, u := range doms {
-			for _, v := range cl.TwoHopDominators[w] {
-				keySet[KeyID{U: u, V: v, Stage: 1}] = true
-			}
-		}
-	}
-	keys := make([]KeyID, 0, len(keySet))
-	for k := range keySet {
-		keys = append(keys, k)
-	}
-	SortKeyIDs(keys)
-	for _, k := range keys {
-		wit.Splice(k, RecomputeRecord(view, cl, k, nil))
-	}
-
-	var keys2 []KeyID
-	for k := range wit.records {
-		if k.Stage == 1 {
-			keys2 = append(keys2, KeyID{U: k.U, V: k.V, Stage: 2})
-		}
-	}
-	SortKeyIDs(keys2)
-	for _, k2 := range keys2 {
-		wit.Splice(k2, RecomputeRecord(view, cl, k2, wit.Stage1Winners(k2.U, k2.V)))
-	}
-
+	electAll(graphView{g}, cl, Options{}, func(k KeyID, rec *KeyRecord) { wit.Splice(k, rec) })
 	return wit.Assemble(g, cl), wit
 }

@@ -233,11 +233,11 @@ type BuildConfig struct {
 	// has instead of an error.
 	Deadline time.Duration
 	// Shards is the shard count of every stage's simulator (WithShards);
-	// 0 keeps the classic sequential kernel.
+	// 0 means one shard.
 	Shards int
-	// Parallel bounds the sharded kernel's worker pool
-	// (WithParallelism); 0 lets the kernel pick GOMAXPROCS. It has no
-	// effect unless Shards > 0.
+	// Parallel bounds the simulator's worker pool (WithParallelism); 0
+	// lets the kernel pick GOMAXPROCS. It has no effect unless
+	// Shards > 1.
 	Parallel int
 	// SimOpts are raw options passed through to every stage's network.
 	SimOpts []sim.Option
@@ -294,22 +294,22 @@ func WithReliability(cfg sim.ReliableConfig) BuildOption {
 	return func(c *BuildConfig) { c.Reliability = &cfg }
 }
 
-// WithShards runs every stage's simulator on the sharded kernel with p
-// shards (sim.WithShards): the per-round delivery and Tick work is
-// partitioned across p concurrent shards with deterministic merges, so
-// every output — graphs, message counters, round counts, protocol trace
-// events — is bit-identical to the default sequential kernel for any p.
-// p <= 0 (the default) keeps the sequential kernel.
+// WithShards runs every stage's simulator on p shards (sim.WithShards):
+// the per-round delivery and Tick work is partitioned across p concurrent
+// shards with deterministic merges, so every output — graphs, message
+// counters, round counts, protocol trace events — is bit-identical to the
+// default one-shard build for any p. p <= 0 (the default) means one
+// shard.
 func WithShards(p int) BuildOption {
 	return func(c *BuildConfig) { c.Shards = p }
 }
 
-// WithParallelism bounds the worker pool the sharded kernel uses to
-// execute shards concurrently (sim.WithParallelism). k <= 0 — the
-// default — sizes the pool to GOMAXPROCS; k is always clamped to the
-// shard count. Like WithShards it is pure mechanism: every output is
-// bit-identical for any k, only wall-clock time changes. It has no
-// effect without WithShards.
+// WithParallelism bounds the worker pool the simulator uses to execute
+// shards concurrently (sim.WithParallelism). k <= 0 — the default —
+// sizes the pool to GOMAXPROCS; k is always clamped to the shard count.
+// Like WithShards it is pure mechanism: every output is bit-identical for
+// any k, only wall-clock time changes. It has no effect on a one-shard
+// build.
 func WithParallelism(k int) BuildOption {
 	return func(c *BuildConfig) { c.Parallel = k }
 }

@@ -86,10 +86,11 @@ func sameResult(t *testing.T, label string, want, got *Result) {
 // TestShardMatrixDeterminism is the determinism-under-composition matrix:
 // every combination of {shards 1, 2, 4, 8} × {parallelism 1, NumCPU} ×
 // {Reliable on/off} × {Bernoulli, Gilbert} must produce a Result and a
-// JSONL protocol trace bit-identical to the sequential kernel's on the
-// same fixed seed. Parallelism values are forced explicitly because on a
-// single-core runner the GOMAXPROCS default would collapse every cell to
-// a serial pool.
+// JSONL protocol trace bit-identical to the default build's on the same
+// fixed seed (the sim package checks every kernel cell against the
+// sequential reference loop). Parallelism values are forced explicitly
+// because on a single-core runner the GOMAXPROCS default would collapse
+// every cell to a serial pool.
 func TestShardMatrixDeterminism(t *testing.T) {
 	faults := []struct {
 		name string
@@ -149,7 +150,7 @@ func TestShardMatrixDeterminism(t *testing.T) {
 }
 
 // TestShardGoldenTraceUnchanged replays the pinned golden JSONL trace
-// under the sharded kernel: the protocol-level stream must match the
+// at every shard count: the protocol-level stream must match the
 // committed golden byte for byte, without regenerating it.
 func TestShardGoldenTraceUnchanged(t *testing.T) {
 	want, err := os.ReadFile(filepath.Join("testdata", "trace_seed3_n12.golden.jsonl"))
@@ -172,14 +173,14 @@ func TestShardGoldenTraceUnchanged(t *testing.T) {
 		}
 		got := stripShardLines(t, buf.Bytes())
 		if !bytes.Equal(got, want) {
-			t.Fatalf("shards=%d: sharded trace diverges from the sequential golden", p)
+			t.Fatalf("shards=%d: sharded trace diverges from the golden", p)
 		}
 	}
 }
 
-// TestShardPartialBuild: the sharded kernel composes with the
+// TestShardPartialBuild: multi-shard runs compose with the
 // partition-aware build — per-component pipelines run sharded (remapped
-// faults included) and produce the sequential build's exact partial
+// faults included) and produce the default build's exact partial
 // result.
 func TestShardPartialBuild(t *testing.T) {
 	inst, err := udg.ConnectedInstance(13, 60, 200, 60, 0)
@@ -211,5 +212,30 @@ func TestShardPartialBuild(t *testing.T) {
 		if got.Health != nil && !reflect.DeepEqual(got.Health.DeadNodes, want.Health.DeadNodes) {
 			t.Fatalf("shards=%d: dead sets diverge", p)
 		}
+	}
+}
+
+// TestShardDropFuncBuild: a DropFunc closure cannot be split across
+// shards, so a lossy build asking for four shards runs every stage on one
+// and equals the WithShards(1) build — result, ledgers, and trace.
+func TestShardDropFuncBuild(t *testing.T) {
+	drop := sim.FromDrop(func(round, from, to int, m sim.Message) bool {
+		return (round*7919+from*31+to)%5 == 0
+	})
+	build := func(p int) (*Result, string, []byte) {
+		return tracedBuild(t, 21, 40, WithFaults(drop), WithReliability(sim.ReliableConfig{}),
+			WithMaxRounds(3000), WithShards(p))
+	}
+	wantRes, wantErr, wantTrace := build(1)
+	if wantRes == nil {
+		t.Fatalf("one-shard DropFunc build failed: %s", wantErr)
+	}
+	gotRes, gotErr, gotTrace := build(4)
+	if gotErr != wantErr {
+		t.Fatalf("err = %q, want %q", gotErr, wantErr)
+	}
+	sameResult(t, "shards=4+DropFunc", wantRes, gotRes)
+	if !bytes.Equal(gotTrace, wantTrace) {
+		t.Fatal("shards=4+DropFunc: trace diverges from the WithShards(1) build")
 	}
 }

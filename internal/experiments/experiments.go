@@ -41,11 +41,11 @@ type Config struct {
 	// into the aggregates in trial order regardless of completion order.
 	Workers int
 	// Shards is the shard count of each build's simulation kernel
-	// (core.WithShards); 0 keeps the sequential kernel. Like Workers, it
-	// changes only wall-clock time, never results.
+	// (core.WithShards); 0 = one shard. Like Workers, it changes only
+	// wall-clock time, never results.
 	Shards int
-	// Parallel bounds the sharded kernel's worker pool
-	// (core.WithParallelism); 0 = GOMAXPROCS. No effect without Shards.
+	// Parallel bounds the simulation kernel's worker pool
+	// (core.WithParallelism); 0 = GOMAXPROCS. No effect on one shard.
 	Parallel int
 	// DataDir, when set, runs the churn campaign's service durably: each
 	// node count logs its epochs to a write-ahead log under this root and

@@ -14,18 +14,8 @@ import (
 func DefaultScaleNs() []int { return []int{500, 2000, 10000} }
 
 // DefaultScaleShards is the shard-count sweep of the kernel-scaling
-// experiment; 0 is the sequential baseline kernel.
-func DefaultScaleShards() []int { return []int{0, 1, 2, 4, 8} }
-
-// seqScaleCutoff is the largest n the sequential kernel is asked to run.
-// Its per-round inbox scan makes it superlinear in practice (40 s per
-// build at n=10k, hours at n=100k), so above the cutoff the sweep drops
-// the sequential row and reports speedups relative to shards=1 — the
-// same algorithm on the mailbox-routed kernel with one shard and no
-// pool. Large-n runs (100k–1M, via -exp scale -n <value>) therefore
-// measure what actually matters at that scale: sharding and the worker
-// pool against the best single-threaded kernel.
-const seqScaleCutoff = 20000
+// experiment; its first entry, one shard, is the speed-up baseline.
+func DefaultScaleShards() []int { return []int{1, 2, 4, 8} }
 
 // scaleRadius picks a transmission radius for the scaling sweep that keeps
 // the UDG average degree roughly constant (≈20, the paper's Table I
@@ -36,16 +26,15 @@ func scaleRadius(n int, region float64) float64 {
 	return region * math.Sqrt(20.0/(math.Pi*float64(n)))
 }
 
-// Scale measures the sharded simulation kernel against the sequential
-// baseline: for each node count it builds one fixed instance with the
-// sequential kernel (up to seqScaleCutoff) and then with each shard
-// count, reporting wall-clock time and speedup relative to the first
-// kernel in the sweep. cfg.Parallel bounds the sharded kernels' worker
-// pool and is recorded in the kernel label; 0 leaves the GOMAXPROCS
-// default. Outputs are verified identical across kernels — the
-// experiment fails loudly if any kernel configuration ever changed a
-// result — so the table is purely a performance profile. Trials are
-// averaged per cell, capped at 3 and at 1 for n ≥ 50k.
+// Scale measures the simulation kernel across shard counts: for each
+// node count it builds one fixed instance with each shard count,
+// reporting wall-clock time and speedup relative to the first shard count
+// in the sweep. cfg.Parallel bounds the kernel's worker pool and is
+// recorded in the kernel label; 0 leaves the GOMAXPROCS default. Outputs
+// are verified identical across shard counts — the experiment fails
+// loudly if any kernel configuration ever changed a result — so the table
+// is purely a performance profile. Trials are averaged per cell, capped at
+// 3 and at 1 for n ≥ 50k.
 func Scale(ns []int, shardCounts []int, cfg Config) (*stats.Table, error) {
 	cfg = cfg.withDefaults()
 	tb := stats.NewTable("n", "kernel", "wall_ms", "speedup", "rounds", "msgs")
@@ -65,17 +54,11 @@ func Scale(ns []int, shardCounts []int, cfg Config) (*stats.Table, error) {
 		baseMS := 0.0
 		baseMsgs, baseRounds := -1, -1
 		for _, p := range shardCounts {
-			var opts []core.BuildOption
-			label := "sequential"
-			if p > 0 {
-				opts = append(opts, core.WithShards(p))
-				label = fmt.Sprintf("shards=%d", p)
-				if cfg.Parallel != 0 {
-					opts = append(opts, core.WithParallelism(cfg.Parallel))
-					label = fmt.Sprintf("shards=%d/par=%d", p, cfg.Parallel)
-				}
-			} else if n > seqScaleCutoff {
-				continue // see seqScaleCutoff
+			opts := []core.BuildOption{core.WithShards(p)}
+			label := fmt.Sprintf("shards=%d", p)
+			if cfg.Parallel != 0 {
+				opts = append(opts, core.WithParallelism(cfg.Parallel))
+				label = fmt.Sprintf("shards=%d/par=%d", p, cfg.Parallel)
 			}
 			var elapsed time.Duration
 			var msgs, rounds int
@@ -92,7 +75,7 @@ func Scale(ns []int, shardCounts []int, cfg Config) (*stats.Table, error) {
 			if baseMsgs < 0 {
 				baseMS, baseMsgs, baseRounds = wallMS, msgs, rounds
 			} else if msgs != baseMsgs || rounds != baseRounds {
-				return nil, fmt.Errorf("scale n=%d %s: output diverged from baseline kernel (msgs %d vs %d, rounds %d vs %d)",
+				return nil, fmt.Errorf("scale n=%d %s: output diverged from the baseline shard count (msgs %d vs %d, rounds %d vs %d)",
 					n, label, msgs, baseMsgs, rounds, baseRounds)
 			}
 			speedup := 1.0

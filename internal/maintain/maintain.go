@@ -327,61 +327,20 @@ func (s *State) twoHopOf(cl *cluster.Result, x int) []int {
 }
 
 // Clustering derives the full cluster.Result (dominator lists, two-hop
-// dominator lists) from the maintained roles over the alive subgraph. The
-// result is cached — and patched in place by role-neutral events — so
+// dominator lists) from the maintained roles over the alive subgraph
+// (cluster.Derive; a failed node is an isolated dominatee with no links).
+// The result is cached — and patched in place by role-neutral events — so
 // callers must treat it as read-only.
 func (s *State) Clustering() *cluster.Result {
 	if s.cachedCl != nil {
 		return s.cachedCl
 	}
-	g := s.AliveGraph()
-	n := g.N()
-	res := &cluster.Result{
-		Status:           make([]cluster.Status, n),
-		DominatorsOf:     make([][]int, n),
-		TwoHopDominators: make([][]int, n),
+	isDom := make([]bool, len(s.status))
+	for v := range isDom {
+		isDom[v] = s.alive[v] && s.status[v] == cluster.Dominator
 	}
-	for v := 0; v < n; v++ {
-		if !s.alive[v] {
-			res.Status[v] = cluster.Dominatee // failed: no role, no links
-			continue
-		}
-		res.Status[v] = s.status[v]
-		if s.status[v] == cluster.Dominator {
-			res.Dominators = append(res.Dominators, v)
-		}
-	}
-	for v := 0; v < n; v++ {
-		if !s.alive[v] || s.status[v] == cluster.Dominator {
-			continue
-		}
-		for _, u := range g.Neighbors(v) {
-			if res.Status[u] == cluster.Dominator && s.alive[u] {
-				res.DominatorsOf[v] = append(res.DominatorsOf[v], u)
-			}
-		}
-	}
-	for v := 0; v < n; v++ {
-		if !s.alive[v] {
-			continue
-		}
-		two := make(map[int]bool)
-		for _, w := range g.Neighbors(v) {
-			for _, u := range res.DominatorsOf[w] {
-				if u != v && !g.HasEdge(u, v) {
-					two[u] = true
-				}
-			}
-		}
-		var list []int
-		for u := range two {
-			list = append(list, u)
-		}
-		sort.Ints(list)
-		res.TwoHopDominators[v] = list
-	}
-	s.cachedCl = res
-	return res
+	s.cachedCl = cluster.Derive(s.AliveGraph(), isDom)
+	return s.cachedCl
 }
 
 // Structures returns the derived backbone structures (connectors, CDS

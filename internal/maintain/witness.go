@@ -173,17 +173,8 @@ func (s *State) tryPatch(cl *cluster.Result) bool {
 		if !s.alive[v] || cl.Status[v] != cluster.Dominatee {
 			continue
 		}
-		doms := cl.DominatorsOf[v]
-		for i, u := range doms {
-			for _, w := range doms[i+1:] {
-				dirty01[connector.KeyID{U: u, V: w, Stage: 0}] = true
-			}
-		}
-		for _, u := range doms {
-			for _, w := range cl.TwoHopDominators[v] {
-				dirty01[connector.KeyID{U: u, V: w, Stage: 1}] = true
-			}
-		}
+		connector.ProposalKeys(cl.DominatorsOf[v], cl.TwoHopDominators[v], connector.Options{},
+			func(k connector.KeyID) { dirty01[k] = true })
 	}
 	keys01 := make([]connector.KeyID, 0, len(dirty01))
 	for k := range dirty01 {

@@ -73,11 +73,11 @@ const (
 	// component size, Round the total rounds its stages ran, and Note
 	// "complete" or the name of the stage that failed.
 	KindComponent Kind = "component"
-	// KindShard is the sharded kernel's per-shard load report, emitted
-	// once per shard at stage end when the run executed under WithShards:
-	// From is the shard index, N the number of nodes the shard owns,
-	// WallNS its cumulative deliver+tick wall time, and Sent/Delivered the
-	// mailbox pool's hit/miss counts. Shard events describe the executor,
+	// KindShard is the simulation kernel's per-shard load report, emitted
+	// once per shard at stage end when the run executed on more than one
+	// shard: From is the shard index, N the number of nodes the shard
+	// owns, WallNS its cumulative deliver+tick wall time, and
+	// Sent/Delivered the mailbox pool's hit/miss counts. Shard events describe the executor,
 	// not the protocol — they are the one part of a trace that varies with
 	// the shard count, so determinism comparisons across shard counts
 	// strip them along with WallNS.

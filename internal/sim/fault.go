@@ -26,19 +26,19 @@ type FaultModel interface {
 	Copies(round, from, to, seq int, m Message) int
 }
 
-// FaultSharder is an optional FaultModel extension for the sharded kernel
+// FaultSharder is an optional FaultModel extension for multi-shard runs
 // (WithShards): ShardFaults returns p independent instances, one per
-// shard, that collectively reproduce the sequential model's exact loss
+// shard, that collectively reproduce the unsplit model's exact loss
 // pattern when shard s consults instance s only for deliveries to its own
-// receivers, in the sequential per-receiver order. Stateless models
+// receivers, in the per-receiver delivery order. Stateless models
 // (Bernoulli, CrashAt, Duplicate) return the shared instance p times; the
 // stateful Gilbert model returns fresh same-seed instances, which is
 // sound because its per-link Markov chains are keyed by (from, to) and a
 // directed link's receiver lives on exactly one shard, so each chain is
-// consulted by one shard in the same order as sequentially. ShardFaults
+// consulted by one shard in the same order as on one shard. ShardFaults
 // may return nil to declare the model unshardable (DropFunc closures,
-// whose internal state the kernel cannot see); the run then falls back to
-// the sequential kernel.
+// whose internal state the kernel cannot see); the run then executes on
+// one shard, which consults the model unsplit.
 type FaultSharder interface {
 	ShardFaults(p int) []FaultModel
 }
@@ -47,14 +47,14 @@ type FaultSharder interface {
 // occupancy-driven re-partitioning: when shard boundaries move, any
 // per-receiver state held inside the cached per-shard instances must move
 // with the receivers, or the next consultation would see a fresh chain
-// where the sequential kernel sees an advanced one. Rehome moves that
+// where an unsplit model sees an advanced one. Rehome moves that
 // state so that the chain of every directed link (from, to) lives in
 // instance owner(to), and reports whether it could. Stateless models
 // return true without doing anything; models that cannot migrate return
 // false, which disables re-partitioning for the run (the static partition
 // stays correct regardless).
 //
-// The sharded kernel also calls Rehome once at startup with the initial
+// A multi-shard run also calls Rehome once at startup with the initial
 // partition, so per-link state left homed under a previous stage's final
 // (possibly rebalanced) partition is re-aligned before the next stage of
 // a multi-stage build consults it.
@@ -177,7 +177,7 @@ type gilbert struct {
 	state     map[[2]int]*gilbertLink
 	// shards caches the per-shard instances handed out by ShardFaults, so
 	// that per-link chain state persists across the stages of one build
-	// exactly as the parent instance's state does sequentially.
+	// exactly as the parent instance's state does on one shard.
 	shards []FaultModel
 }
 
@@ -216,14 +216,14 @@ func (g *gilbert) Copies(round, from, to, seq int, m Message) int {
 // ShardFaults implements FaultSharder with same-seed per-shard instances.
 // Each directed link's Markov chain is lazily seeded from (seed, from,
 // to) alone, and the link is consulted only by the shard owning the
-// receiver `to`, in the same per-receiver delivery order the sequential
-// kernel uses — so every chain replays the identical stream and the
-// aggregate loss pattern is bit-identical for any p. The instances are
-// cached on the parent: a multi-stage run (core.Build threads one fault
-// model through cluster, connector, and LDel) keeps advancing the same
-// chains across stages, exactly as the sequential kernel's single
-// instance does. One Gilbert value must therefore run under a consistent
-// shard count — changing p mid-build would reset the chains.
+// receiver `to`, in the same per-receiver delivery order a one-shard run
+// uses — so every chain replays the identical stream and the aggregate
+// loss pattern is bit-identical for any p. The instances are cached on
+// the parent: a multi-stage run (core.Build threads one fault model
+// through cluster, connector, and LDel) keeps advancing the same chains
+// across stages, exactly as the unsplit instance does on one shard. One
+// Gilbert value must therefore run under a consistent shard count —
+// changing p mid-build would reset the chains.
 func (g *gilbert) ShardFaults(p int) []FaultModel {
 	if len(g.shards) != p {
 		g.shards = make([]FaultModel, p)
@@ -238,8 +238,8 @@ func (g *gilbert) ShardFaults(p int) []FaultModel {
 // cached per-shard instances moves to the instance owning the link's
 // receiver under the new partition. Chains are keyed by (from, to) and
 // moved wholesale, so the result is independent of map iteration order —
-// re-homing is deterministic. The parent's own chain map (used by the
-// sequential kernel) is not touched.
+// re-homing is deterministic. The parent's own chain map (used by
+// one-shard runs) is not touched.
 func (g *gilbert) Rehome(owner func(int) int) bool {
 	if len(g.shards) == 0 {
 		return true
@@ -519,7 +519,7 @@ func (d dropAdapter) Copies(round, from, to, seq int, m Message) int {
 }
 
 // FromDrop adapts a DropFunc closure to the FaultModel interface. The
-// resulting model is opaque to the sharded kernel — a closure may carry
-// arbitrary state — so it does not implement FaultSharder and runs using
-// it fall back to the sequential kernel under WithShards.
+// resulting model is opaque to the kernel — a closure may carry arbitrary
+// state — so it does not implement FaultSharder, and runs using it
+// execute on one shard whatever WithShards asks for.
 func FromDrop(f DropFunc) FaultModel { return dropAdapter{f: f} }

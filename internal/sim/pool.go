@@ -1,8 +1,8 @@
 package sim
 
 // pool.go is the bounded worker pool behind WithParallelism: a fixed set
-// of long-lived goroutines that execute the sharded kernel's deliver and
-// tick phases. The pool exists so that a run of thousands of rounds does
+// of long-lived goroutines that execute the kernel's deliver and tick
+// phases. The pool exists so that a run of thousands of rounds does
 // not spawn 2·rounds·P goroutines: workers are created once per Run and
 // parked on a channel between phases.
 //
@@ -24,7 +24,7 @@ import (
 func defaultParallelism() int { return runtime.GOMAXPROCS(0) }
 
 // phasePool runs one phase function over every shard using a fixed set of
-// workers. It is created by runSharded when both the shard count and the
+// workers. It is created by Run when both the shard count and the
 // configured parallelism exceed one, and closed when the run returns.
 type phasePool struct {
 	shards  []shardState

@@ -1,16 +1,16 @@
 package sim
 
-// This file is the sharded execution kernel behind WithShards: the same
-// bulk-synchronous round semantics as the classic sequential loop in
-// sim.go, executed by P shards on a bounded worker pool (WithParallelism)
-// instead of one goroutine, with bit-identical results for any shard
-// count and any parallelism.
+// This file is the simulator's execution kernel: the bulk-synchronous
+// round semantics of the package doc, executed by P shards (WithShards,
+// one by default) on a bounded worker pool (WithParallelism), with
+// bit-identical results for any shard count and any parallelism. Run in
+// sim.go drives the round loop; this file holds the shard machinery.
 //
 // Partitioning is contiguous: shard s owns the node IDs
 // [starts[s], starts[s+1]). It begins uniform and can be rebalanced
 // between rounds by occupancy-driven re-partitioning (see
-// maybeRepartition). Within a round the kernel runs two parallel phases
-// with a serial merge barrier after each:
+// maybeRepartition). Within a round the kernel runs two phases with a
+// serial merge barrier after each:
 //
 //  1. Deliver — each shard routes the previous round's staged broadcasts
 //     into pooled per-node mailboxes for the receivers it owns, then
@@ -30,32 +30,34 @@ package sim
 // outbox: each broadcast gets a per-shard per-round ordinal, and the
 // merge barrier assigns each shard a contiguous seq base per phase in
 // shard-index order. Because the contiguous partition makes shard-index
-// order equal node-ID order, ordinal + base reproduces exactly the seq
-// the sequential kernel hands out, and receivers reconstruct it in O(1)
-// when they consume a staged copy — the merge itself is O(P), not O(M).
-// Within a receiver's mailbox, copies arrive in global seq order because
-// delivery walks the staged batches in seq order: first every source
-// shard's deliver-phase batch (the stage prefix recorded by split), then
-// every source shard's tick-phase batch, source shards ascending.
+// order equal node-ID order, ordinal + base is exactly the seq a single
+// global counter would hand out in node-ID order, and receivers
+// reconstruct it in O(1) when they consume a staged copy — the merge
+// itself is O(P), not O(M). Within a receiver's mailbox, copies arrive in
+// global seq order because delivery walks the staged batches in seq
+// order: first every source shard's deliver-phase batch (the stage
+// prefix recorded by split), then every source shard's tick-phase batch,
+// source shards ascending.
 //
 // Everything else a shard produces — trace events, per-type send counts,
 // delivery counters — lands in shard-local buffers merged in shard-index
-// order at the barrier, which reproduces the sequential kernel's total
-// order. Determinism does not depend on goroutine scheduling at all:
-// scheduling can only reorder work *within* a phase, and nothing
+// order at the barrier, which reproduces the node-ID total order of the
+// package doc. Determinism does not depend on goroutine scheduling at
+// all: scheduling can only reorder work *within* a phase, and nothing
 // observable escapes a shard until the deterministic merge.
 //
 // Fault models are consulted concurrently, one shard instance each (see
 // FaultSharder in fault.go); when the partition moves, per-link fault
-// state moves with the receivers (see FaultRehomer). Per-node protocol
-// state — including the Reliable shim's ack/retransmission bookkeeping —
-// is only ever touched by the owning shard, so protocols need no locking.
+// state moves with the receivers (see FaultRehomer). A one-shard run
+// consults the model itself, unsplit. Per-node protocol state — including
+// the Reliable shim's ack/retransmission bookkeeping — is only ever
+// touched by the owning shard, so protocols need no locking.
 //
-// The mailbox path also kills the sequential kernel's two hot spots: the
-// O(n·|inbox|) per-round HasEdge scan becomes O(Σ deg(sender)) routing
-// work, and the per-round slice churn is recycled — staging buffers
-// ping-pong across rounds and mailboxes come from per-shard free lists
-// whose hit rate is reported through the tracer (obs.KindShard).
+// Delivery cost is O(Σ deg(sender)) routing work per round — each staged
+// copy is routed by binary search over the sender's neighbor list — and
+// the per-round slice churn is recycled: staging buffers ping-pong across
+// rounds and mailboxes come from per-shard free lists whose hit rate is
+// reported through the tracer (obs.KindShard).
 
 import (
 	"sort"
@@ -153,8 +155,8 @@ type shardState struct {
 	workNS int64
 }
 
-// broadcast is Context.Broadcast's sharded path: identical bookkeeping,
-// but into shard-local buffers. One staged copy is appended per
+// broadcast is Context.Broadcast's radio path: it bumps the node's send
+// counter and fills shard-local buffers. One staged copy is appended per
 // destination shard owning at least one neighbor of the sender — the
 // sorted neighbor list is walked once, skipping shard by shard. n.sent is
 // indexed by the broadcasting node, which belongs to exactly one shard,
@@ -187,10 +189,10 @@ func (sh *shardState) broadcast(c *Context, m Message) {
 
 // deliver consumes the previous round's staged broadcasts addressed to
 // this shard and drains them: receivers in ID order, each mailbox in
-// global send-order, matching the sequential kernel's delivery order
-// exactly. Staged batches are walked in seq order — deliver-phase
-// prefixes of every source shard first, then tick-phase suffixes, source
-// shards ascending — so mailbox append order IS seq order.
+// global send-order. Staged batches are walked in seq order —
+// deliver-phase prefixes of every source shard first, then tick-phase
+// suffixes, source shards ascending — so mailbox append order IS seq
+// order.
 //
 // Columns are indexed under prevStarts, the partition in force when the
 // copies were staged. Normally only column sh.idx concerns this shard;
@@ -365,22 +367,20 @@ func (ex *shardExec) seqOf(s, ord int) int {
 }
 
 // newShardExec partitions the network into the configured number of
-// shards and wires each node's Context to its shard. It returns nil — and
-// Run falls back to the sequential kernel — when sharding is off, the
-// network is empty, or the fault model cannot provide independent
-// per-shard instances (see FaultSharder).
+// shards — clamped to the node count, and at least one, so an empty
+// network runs on one empty shard — and wires each node's Context to its
+// shard. A fault model that cannot provide independent per-shard
+// instances (see FaultSharder) runs unsplit on one shard.
 func (n *Network) newShardExec() *shardExec {
-	p := n.shards
 	nn := n.g.N()
-	if p <= 0 || nn == 0 {
-		return nil
-	}
-	if p > nn {
-		p = nn
-	}
-	fms, ok := shardFaultModels(n.faults, p)
-	if !ok {
-		return nil
+	p := max(min(n.shards, nn), 1)
+	fms := []FaultModel{n.faults}
+	if p > 1 {
+		if split, ok := shardFaultModels(n.faults, p); ok {
+			fms = split
+		} else {
+			p = 1
+		}
 	}
 	ex := &shardExec{
 		net:        n,
@@ -421,6 +421,9 @@ func (n *Network) newShardExec() *shardExec {
 			n.ctxs[id].sh = sh
 		}
 	}
+	if p == 1 {
+		return ex // nothing to split, move, or rebalance
+	}
 	switch {
 	case n.repartEvery > 0:
 		ex.repartEvery = n.repartEvery
@@ -453,7 +456,8 @@ func (ex *shardExec) each(fn func(sh *shardState)) {
 
 // replayEvents forwards a shard's buffered trace events to the tracer.
 // Replaying at the barrier in shard-index order — node-ID order, for a
-// contiguous partition — reproduces the sequential kernel's emit order.
+// contiguous partition — makes the emit order independent of the shard
+// count.
 func (ex *shardExec) replayEvents(sh *shardState) {
 	if ex.net.tracer == nil || len(sh.events) == 0 {
 		return
@@ -466,9 +470,9 @@ func (ex *shardExec) replayEvents(sh *shardState) {
 
 // deliverMerge is the barrier after the deliver phase: it replays trace
 // events, records each shard's deliver-phase broadcast count, and assigns
-// the shards' seq bases in shard-index order — exactly the numbers the
-// sequential kernel would have handed out one broadcast at a time. It
-// returns the phase's delivery count.
+// the shards' seq bases in shard-index order — exactly the numbers a
+// single counter would hand out one broadcast at a time in node-ID order.
+// It returns the phase's delivery count.
 func (ex *shardExec) deliverMerge() int {
 	n := ex.net
 	delivered := 0
@@ -488,8 +492,7 @@ func (ex *shardExec) deliverMerge() int {
 // assigns the tick-phase seq bases, folds the per-type counters, resets
 // the per-round shard state, and ping-pongs the staging buffers — this
 // round's stage becomes next round's prevStage, and the consumed buffers
-// come back for recycling. It returns the round's broadcast count (the
-// sequential kernel's len(outbox)).
+// come back for recycling. It returns the round's broadcast count.
 func (ex *shardExec) tickMerge() int {
 	n := ex.net
 	sent := 0
@@ -602,10 +605,11 @@ func (ex *shardExec) maybeRepartition(round int) {
 // the protocol — so they are the one part of a traced run that legitimately
 // varies with the shard count (and, via WallNS, across runs); determinism
 // comparisons across kernel configurations strip them (obs.ExecutorKind)
-// along with wall time.
+// along with wall time. A one-shard run has no balance to report and
+// emits none, so default traces carry protocol events only.
 func (ex *shardExec) emitShardMetrics() {
 	n := ex.net
-	if n.tracer == nil {
+	if n.tracer == nil || len(ex.shards) == 1 {
 		return
 	}
 	for s := range ex.shards {
@@ -614,85 +618,4 @@ func (ex *shardExec) emitShardMetrics() {
 			From: sh.idx, To: obs.NoNode, N: sh.hi - sh.lo, WallNS: sh.workNS,
 			Sent: sh.pool.hits, Delivered: sh.pool.misses})
 	}
-}
-
-// runSharded is the sharded twin of the sequential loop in Run: identical
-// round structure, termination conditions, tracing, and error surface,
-// with the deliver and tick work fanned out across the shards on the
-// worker pool.
-func (n *Network) runSharded(ex *shardExec, maxRounds int, start time.Time) (int, error) {
-	par := n.par
-	if par <= 0 {
-		par = defaultParallelism()
-	}
-	if par > len(ex.shards) {
-		par = len(ex.shards)
-	}
-	n.parOn = par
-	if par > 1 {
-		ex.pool = newPhasePool(ex.shards, par)
-		defer ex.pool.close()
-	}
-	finish := func(err error) (int, error) {
-		ex.emitShardMetrics()
-		return n.rounds, n.finishTrace(start, err)
-	}
-	// Init runs sequentially in node-ID order, exactly as the sequential
-	// kernel does; its broadcasts land in the shard staging buffers (the
-	// Contexts are already wired). It is merged as a round-0 tick batch:
-	// no deliver phase ran, so the deliver counts are zero and every Init
-	// broadcast numbers from the tick bases — node-ID order again.
-	for i := range n.procs {
-		n.procs[i].Init(&n.ctxs[i])
-	}
-	for s := range ex.shards {
-		ex.dCount[s], ex.dBase[s] = 0, 0
-	}
-	ex.tickMerge()
-	for round := 1; round <= maxRounds; round++ {
-		if n.ctx != nil && n.ctx.Err() != nil {
-			return finish(&CanceledError{Rounds: n.rounds, Cause: n.ctx.Err()})
-		}
-		n.rounds = round
-
-		ex.each(func(sh *shardState) { sh.deliver(round) })
-		delivered := ex.deliverMerge()
-		ex.each(func(sh *shardState) { sh.tick(round) })
-		sent := ex.tickMerge()
-
-		n.trace = append(n.trace, RoundStats{Round: round, Delivered: delivered, Sent: sent})
-		if n.tracer != nil {
-			n.tracer.Emit(obs.Event{Kind: obs.KindRound, Stage: n.stage, Round: round,
-				From: obs.NoNode, To: obs.NoNode, Sent: sent, Delivered: delivered})
-		}
-
-		if n.reliable {
-			if n.allDone() {
-				return finish(nil)
-			}
-		} else if sent == 0 && n.allDone() {
-			return finish(nil)
-		}
-
-		if n.tracer != nil && round%quiesceSnapshotEvery == 0 {
-			notDone := 0
-			for _, p := range n.procs {
-				if !p.Done() {
-					notDone++
-				}
-			}
-			n.tracer.Emit(obs.Event{Kind: obs.KindQuiesceWait, Stage: n.stage, Round: round,
-				From: obs.NoNode, To: obs.NoNode, N: notDone, Sent: sent})
-		}
-
-		ex.maybeRepartition(round)
-	}
-	// ex.inFlight still holds the final round's broadcasts by type — the
-	// undelivered traffic, exactly what the sequential kernel reads off
-	// its outbox.
-	inFlight := make(map[string]int, len(ex.inFlight))
-	for t, c := range ex.inFlight {
-		inFlight[t] = c
-	}
-	return finish(n.stuckError(inFlight))
 }

@@ -109,10 +109,10 @@ func (p *echoProto) Tick(ctx *Context, round int) {
 
 func (p *echoProto) Done() bool { return !p.started || p.replies >= 2 }
 
-// runEcho executes the echo protocol on a grid with the given options and
-// returns everything observable: counters, round trace, per-node delivery
-// histories, and the full protocol-level event stream (wall times zeroed,
-// executor shard events stripped).
+// echoRun is everything observable about one run of the echo protocol:
+// counters, round trace, per-node delivery histories, and the full
+// protocol-level event stream (wall times zeroed, executor shard events
+// stripped).
 type echoRun struct {
 	rounds    int
 	err       string
@@ -124,7 +124,20 @@ type echoRun struct {
 	shards    int
 }
 
+// runEcho executes the echo protocol on a k×k grid with Run.
 func runEcho(t *testing.T, k int, opts ...Option) echoRun {
+	t.Helper()
+	return execEcho(t, k, func(net *Network) (int, error) { return net.Run(200) }, opts...)
+}
+
+// refEcho executes the echo protocol on a k×k grid with the sequential
+// reference loop.
+func refEcho(t *testing.T, k int, opts ...Option) echoRun {
+	t.Helper()
+	return execEcho(t, k, func(net *Network) (int, error) { return runReference(net, 200) }, opts...)
+}
+
+func execEcho(t *testing.T, k int, run func(*Network) (int, error), opts ...Option) echoRun {
 	t.Helper()
 	ring := obs.NewRing(1 << 20)
 	g := gridGraph(k)
@@ -132,7 +145,7 @@ func runEcho(t *testing.T, k int, opts ...Option) echoRun {
 	net := NewNetwork(g, func(id int) Protocol {
 		return &echoProto{id: id, started: id%7 == 0}
 	}, opts...)
-	rounds, err := net.Run(200)
+	rounds, err := run(net)
 	out := echoRun{
 		rounds: rounds,
 		sent:   net.SentAll(),
@@ -183,11 +196,12 @@ func diffRuns(t *testing.T, label string, want, got echoRun) {
 	}
 }
 
-// TestShardEquivalence pins the tentpole contract: the sharded kernel is
-// bit-identical to the sequential one — same counters, same round trace,
-// same per-receiver delivery order, same protocol event stream — for any
-// shard count and any phase parallelism, with and without faults, the
-// Reliable shim, and forced occupancy-driven re-partitioning.
+// TestShardEquivalence pins the kernel's contract against the sequential
+// reference loop (runReference): same counters, same round trace, same
+// per-receiver delivery order, same protocol event stream, same wedge
+// diagnostics — for the default run and for every shard count and phase
+// parallelism, with and without faults, the Reliable shim, and forced
+// occupancy-driven re-partitioning.
 func TestShardEquivalence(t *testing.T) {
 	// Options are factories: Gilbert (and any stateful model) must be
 	// constructed fresh per run, or earlier runs' chain state leaks into
@@ -207,16 +221,24 @@ func TestShardEquivalence(t *testing.T) {
 		{"reliable+gilbert", func() []Option {
 			return []Option{WithReliability(ReliableConfig{}), WithFaults(Gilbert(5, 0.2, 0.6, 0.8))}
 		}},
+		// A crashed neighbor never acknowledges, so the shim wedges: the
+		// round budget runs out and the QuiescenceError's stuck set and
+		// in-flight tally must match the reference's.
+		{"reliable+crash", func() []Option {
+			return []Option{WithReliability(ReliableConfig{}), WithFaults(CrashAt(map[int]int{8: 3}))}
+		}},
 	}
 	// Explicit worker counts, not just NumCPU: on a single-core runner the
 	// default would collapse to 1 and never exercise the pool.
 	pars := []int{1, 2, runtime.NumCPU()}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			seq := runEcho(t, 6, tc.opts()...)
-			if seq.shards != 0 {
-				t.Fatalf("sequential run reported %d shards", seq.shards)
+			seq := refEcho(t, 6, tc.opts()...)
+			def := runEcho(t, 6, tc.opts()...)
+			if def.shards != 1 {
+				t.Fatalf("default run reported %d shards, want 1", def.shards)
 			}
+			diffRuns(t, "default", seq, def)
 			for _, p := range []int{1, 2, 4, 8} {
 				for _, k := range pars {
 					opts := append(tc.opts(), WithShards(p), WithParallelism(k))
@@ -240,7 +262,7 @@ func TestShardEquivalence(t *testing.T) {
 // deliberately skewed load (only the top quarter of the ID space chatters)
 // must move the uniform boundaries toward the hot range, emit one
 // obs.KindRepartition event per shard covering the whole ID space, and
-// still finish bit-identical to the sequential kernel.
+// still finish bit-identical to the sequential reference.
 func TestShardRepartitionMoves(t *testing.T) {
 	const n, shards = 64, 4
 	mk := func(opts ...Option) (*Network, *obs.Ring) {
@@ -251,8 +273,8 @@ func TestShardRepartitionMoves(t *testing.T) {
 		}, append(opts, WithTracer(ring))...)
 		return net, ring
 	}
-	seqNet, seqRing := mk()
-	if _, err := seqNet.Run(0); err != nil {
+	seqNet, _ := mk()
+	if _, err := runReference(seqNet, 0); err != nil {
 		t.Fatal(err)
 	}
 	net, ring := mk(WithShards(shards), WithParallelism(2), WithRepartition(4))
@@ -260,7 +282,7 @@ func TestShardRepartitionMoves(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(seqNet.SentAll(), net.SentAll()) {
-		t.Fatal("skewed repartitioned run diverges from sequential counters")
+		t.Fatal("skewed repartitioned run diverges from the reference counters")
 	}
 	var reparts []obs.Event
 	for _, e := range ring.Events() {
@@ -302,13 +324,12 @@ func TestShardRepartitionMoves(t *testing.T) {
 		t.Fatalf("hottest shard still owns %d nodes after rebalance (uniform is %d)",
 			last[shards-1].N, n/shards)
 	}
-	_ = seqRing
 }
 
 // TestShardClampsToNodeCount: more shards than nodes degrades to one node
 // per shard, still bit-identical.
 func TestShardClampsToNodeCount(t *testing.T) {
-	seq := runEcho(t, 2)
+	seq := refEcho(t, 2)
 	got := runEcho(t, 2, WithShards(64))
 	if got.shards != 4 {
 		t.Fatalf("ShardsUsed = %d, want clamp to 4 nodes", got.shards)
@@ -317,8 +338,8 @@ func TestShardClampsToNodeCount(t *testing.T) {
 }
 
 // TestShardFallbackDropFunc: a raw DropFunc closure cannot be split into
-// per-shard instances, so the run silently uses the sequential kernel —
-// and still produces the right answer.
+// per-shard instances, so the run uses one shard — and the closure still
+// decides every delivery.
 func TestShardFallbackDropFunc(t *testing.T) {
 	g := pathGraph(3)
 	net := NewNetwork(g, func(id int) Protocol {
@@ -329,27 +350,36 @@ func TestShardFallbackDropFunc(t *testing.T) {
 	if _, err := net.Run(0); err != nil {
 		t.Fatal(err)
 	}
-	if net.ShardsUsed() != 0 {
-		t.Fatalf("ShardsUsed = %d, want sequential fallback", net.ShardsUsed())
+	if net.ShardsUsed() != 1 {
+		t.Fatalf("ShardsUsed = %d, want one shard", net.ShardsUsed())
 	}
 	if net.Protocol(2).(*flooder).heard {
 		t.Fatal("node 2 heard the flood through a dropped link")
 	}
 }
 
-// TestShardMetricsEmitted: a traced sharded run reports one KindShard
-// event per shard with the node partition and a warm mailbox pool.
+// TestShardMetricsEmitted: a traced multi-shard run reports one KindShard
+// event per shard with the node partition and a warm mailbox pool; a
+// one-shard run — the default — emits no executor events at all.
 func TestShardMetricsEmitted(t *testing.T) {
-	ring := obs.NewRing(1 << 20)
 	g := gridGraph(6)
-	net := NewNetwork(g, func(id int) Protocol {
-		return &echoProto{id: id, started: id%7 == 0}
-	}, WithShards(4), WithTracer(ring), WithStage("echo"))
-	if _, err := net.Run(200); err != nil {
-		t.Fatal(err)
+	traced := func(p int) []obs.Event {
+		ring := obs.NewRing(1 << 20)
+		net := NewNetwork(g, func(id int) Protocol {
+			return &echoProto{id: id, started: id%7 == 0}
+		}, WithShards(p), WithTracer(ring), WithStage("echo"))
+		if _, err := net.Run(200); err != nil {
+			t.Fatal(err)
+		}
+		return ring.Events()
+	}
+	for _, e := range traced(1) {
+		if obs.ExecutorKind(e.Kind) {
+			t.Fatalf("one-shard run emitted executor event %+v", e)
+		}
 	}
 	var shardEvents []obs.Event
-	for _, e := range ring.Events() {
+	for _, e := range traced(4) {
 		if e.Kind == obs.KindShard {
 			shardEvents = append(shardEvents, e)
 		}
@@ -375,8 +405,8 @@ func TestShardMetricsEmitted(t *testing.T) {
 	}
 }
 
-// TestShardQuiescenceError: the sharded kernel surfaces the same
-// diagnostic QuiescenceError as the sequential one.
+// TestShardQuiescenceError: a multi-shard run surfaces the diagnostic
+// QuiescenceError when the round budget runs out.
 func TestShardQuiescenceError(t *testing.T) {
 	g := pathGraph(4)
 	net := NewNetwork(g, func(id int) Protocol { return chatter{} }, WithShards(2))
@@ -414,6 +444,36 @@ func TestShardFaultModels(t *testing.T) {
 	for i, fm := range unshardable {
 		if _, ok := shardFaultModels(fm, 3); ok {
 			t.Fatalf("model %d: expected unshardable", i)
+		}
+	}
+}
+
+// TestRunEmptyAndSingleNode pins the degenerate networks: with no nodes,
+// or one node with no neighbors to hear it, a run takes exactly one round
+// on one shard and matches the reference, whatever WithShards asks for.
+func TestRunEmptyAndSingleNode(t *testing.T) {
+	for _, n := range []int{0, 1} {
+		for _, p := range []int{0, 1, 4} {
+			mk := func() *Network {
+				return NewNetwork(pathGraph(n), func(id int) Protocol {
+					return &flooder{id: id, started: true}
+				}, WithShards(p))
+			}
+			ref := mk()
+			wantRounds, wantErr := runReference(ref, 0)
+			net := mk()
+			rounds, err := net.Run(0)
+			if rounds != 1 || err != nil || wantRounds != 1 || wantErr != nil {
+				t.Fatalf("n=%d shards=%d: Run = (%d, %v), reference (%d, %v); want (1, nil)",
+					n, p, rounds, err, wantRounds, wantErr)
+			}
+			if net.ShardsUsed() != 1 {
+				t.Fatalf("n=%d shards=%d: ShardsUsed = %d, want 1", n, p, net.ShardsUsed())
+			}
+			if !reflect.DeepEqual(net.Trace(), ref.Trace()) || !reflect.DeepEqual(net.SentAll(), ref.SentAll()) {
+				t.Fatalf("n=%d shards=%d: trace/counters %v/%v, reference %v/%v",
+					n, p, net.Trace(), net.SentAll(), ref.Trace(), ref.SentAll())
+			}
 		}
 	}
 }

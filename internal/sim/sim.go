@@ -157,12 +157,12 @@ type Protocol interface {
 type DropFunc func(round, from, to int, m Message) bool
 
 // Context is the interface a protocol uses to interact with the network.
-// When send is non-nil, Broadcast is redirected to it instead of the radio
-// outbox — the hook the Reliable shim uses to capture an inner protocol's
-// sends and carry them as payloads inside its own envelopes. When sh is
-// non-nil the node is executing under the sharded kernel (see shard.go)
-// and everything observable — broadcasts, trace events — is buffered in
-// the owning shard and merged deterministically at the phase barrier.
+// When send is non-nil, Broadcast is redirected to it instead of the
+// radio — the hook the Reliable shim uses to capture an inner protocol's
+// sends and carry them as payloads inside its own envelopes. During Run
+// every node belongs to a shard of the kernel (see shard.go), and
+// everything observable — broadcasts, trace events — is buffered in the
+// owning shard and merged deterministically at the phase barrier.
 type Context struct {
 	net  *Network
 	id   int
@@ -170,10 +170,10 @@ type Context struct {
 	sh   *shardState
 }
 
-// shard returns the node's current owning shard (nil on the sequential
-// kernel). The canonical Contexts in net.ctxs carry the live assignment;
-// copies a protocol cached (the Reliable shim's inner context) must not
-// trust their embedded sh — re-partitioning can move the node to another
+// shard returns the node's current owning shard (nil outside Run). The
+// canonical Contexts in net.ctxs carry the live assignment; copies a
+// protocol cached (the Reliable shim's inner context) must not trust
+// their embedded sh — re-partitioning can move the node to another
 // shard after the copy was made, and buffering into the old shard would
 // both reorder the merged event stream and race with its owner.
 func (c *Context) shard() *shardState {
@@ -199,25 +199,14 @@ func (c *Context) PosOf(id int) geom.Point { return c.net.g.Point(id) }
 func (c *Context) Neighbors() []int { return c.net.g.Neighbors(c.id) }
 
 // Broadcast queues m for delivery to all 1-hop neighbors next round and
-// increments the node's send counter.
+// increments the node's send counter. It may only be called while the
+// network runs (from Init, Handle, or Tick).
 func (c *Context) Broadcast(m Message) {
 	if c.send != nil {
 		c.send(m)
 		return
 	}
-	if sh := c.shard(); sh != nil {
-		sh.broadcast(c, m)
-		return
-	}
-	n := c.net
-	n.sent[c.id]++
-	n.byType[m.Type()]++
-	n.outbox = append(n.outbox, envelope{from: c.id, seq: n.seq, msg: m})
-	n.seq++
-	if n.tracer != nil {
-		n.tracer.Emit(obs.Event{Kind: obs.KindSend, Stage: n.stage, Round: n.rounds,
-			Type: m.Type(), From: c.id, To: obs.NoNode, Bytes: obs.SizeOf(m)})
-	}
+	c.shard().broadcast(c, m)
 }
 
 // EmitState records a protocol state transition (the node reaching the
@@ -233,9 +222,10 @@ func (c *Context) EmitState(state string) {
 }
 
 // emit forwards an event to the network's tracer; sim-internal callers
-// (the Reliable shim) use it for their own event kinds. Under the sharded
-// kernel the event is buffered in the node's shard and replayed into the
-// tracer at the next merge, preserving the sequential emit order.
+// (the Reliable shim) use it for their own event kinds. During Run the
+// event is buffered in the node's shard and replayed into the tracer at
+// the next merge, preserving node-ID emit order; a node with no shard
+// emits directly.
 func (c *Context) emit(e obs.Event) {
 	if c.net == nil || c.net.tracer == nil {
 		return
@@ -272,19 +262,18 @@ type Network struct {
 	faults   FaultModel
 	reliable bool
 	relCfg   ReliableConfig
-	outbox   []envelope // messages sent this round, delivered next round
 	sent     []int
 	byType   map[string]int
 	rounds   int
-	seq      int
+	seq      int // next global send sequence number
 	trace    []RoundStats
 	tracer   obs.Tracer
 	stage    string
 	ctx      context.Context
-	shards   int // requested shard count; 0 = classic sequential kernel
-	shardsOn int // shards actually used by the last Run (0 = sequential)
-	par      int // requested worker parallelism; 0 = GOMAXPROCS
-	parOn    int // workers the last sharded Run used (0 = sequential)
+	shards   int // requested shard count; <= 0 = one shard
+	shardsOn int // shards the last Run used
+	par      int // requested worker parallelism; <= 0 = GOMAXPROCS
+	parOn    int // workers the last Run used
 	// repartEvery is the occupancy-driven re-partitioning period in
 	// rounds: 0 selects the default, negative disables re-partitioning.
 	repartEvery int
@@ -335,35 +324,33 @@ func WithContext(ctx context.Context) Option {
 	return func(n *Network) { n.ctx = ctx }
 }
 
-// WithShards runs the network on the sharded kernel with p shards: nodes
-// are statically partitioned into p contiguous ID ranges, each round's
-// deliveries and Ticks run concurrently across the shards, and shard-local
-// outboxes, counters, and trace events are merged deterministically at the
-// phase barriers. Results — the computed protocol state, message counters,
-// round counts, and the protocol-level trace event stream — are
-// bit-identical to the sequential kernel for any p (see DESIGN.md §12).
-// p is clamped to the node count; p <= 0 (the default) keeps the classic
-// sequential loop. Fault models built from raw DropFunc closures
+// WithShards runs the network on p shards: nodes are partitioned into p
+// contiguous ID ranges, each round's deliveries and Ticks run
+// concurrently across the shards, and shard-local staging, counters, and
+// trace events are merged deterministically at the phase barriers.
+// Results — the computed protocol state, message counters, round counts,
+// and the protocol-level trace event stream — are bit-identical for any
+// p (see DESIGN.md §12). p is clamped to the node count; p <= 0 (the
+// default) means one shard. Fault models built from raw DropFunc closures
 // (WithDrop) cannot be split into independent per-shard instances; such
-// runs silently fall back to the sequential kernel (ShardsUsed reports
-// what actually ran).
+// runs use one shard (ShardsUsed reports what actually ran).
 func WithShards(p int) Option {
 	return func(n *Network) { n.shards = p }
 }
 
-// WithParallelism bounds the worker pool the sharded kernel runs its
-// deliver and tick phases on: k worker goroutines execute the shards of
-// each phase, k <= 0 (the default) means one worker per available CPU
-// (GOMAXPROCS), and the effective value is clamped to the shard count.
-// Parallelism is pure mechanism — results, traces, and seq numbers are
-// bit-identical for every k, because nothing observable leaves a shard
-// until the deterministic merge barrier (see DESIGN.md §13). It has no
-// effect without WithShards.
+// WithParallelism bounds the worker pool the kernel runs its deliver and
+// tick phases on: k worker goroutines execute the shards of each phase,
+// k <= 0 (the default) means one worker per available CPU (GOMAXPROCS),
+// and the effective value is clamped to the shard count. Parallelism is
+// pure mechanism — results, traces, and seq numbers are bit-identical for
+// every k, because nothing observable leaves a shard until the
+// deterministic merge barrier (see DESIGN.md §13). It has no effect on a
+// one-shard run.
 func WithParallelism(k int) Option {
 	return func(n *Network) { n.par = k }
 }
 
-// WithRepartition sets the sharded kernel's occupancy-driven
+// WithRepartition sets the kernel's occupancy-driven
 // re-partitioning period: every `every` rounds the contiguous node ranges
 // are rebalanced from the merged per-node delivery counters, so shard
 // boundaries follow the protocol's active region. every <= 0 disables
@@ -420,6 +407,11 @@ func NewNetwork(g *graph.Graph, newProc func(id int) Protocol, opts ...Option) *
 // Run executes the protocol until quiescence or until maxRounds rounds have
 // elapsed (0 means a default of 10·n + 50 rounds). It returns the number of
 // rounds executed.
+//
+// Each round is the two phases of the kernel (shard.go): every shard
+// delivers its nodes' mail, then every shard Ticks its nodes, with a
+// deterministic merge after each phase. With one shard — the default —
+// the phases run inline on the caller's goroutine.
 func (n *Network) Run(maxRounds int) (int, error) {
 	if maxRounds <= 0 {
 		maxRounds = 10*n.g.N() + 50
@@ -429,70 +421,60 @@ func (n *Network) Run(maxRounds int) (int, error) {
 		n.tracer.Emit(obs.Event{Kind: obs.KindStageStart, Stage: n.stage,
 			From: obs.NoNode, To: obs.NoNode, N: n.g.N()})
 	}
-	if ex := n.newShardExec(); ex != nil {
-		n.shardsOn = len(ex.shards)
-		return n.runSharded(ex, maxRounds, start)
+	ex := n.newShardExec()
+	par := n.par
+	if par <= 0 {
+		par = defaultParallelism()
 	}
-	n.shardsOn, n.parOn = 0, 0
+	n.shardsOn, n.parOn = len(ex.shards), min(par, len(ex.shards))
+	if n.parOn > 1 {
+		ex.pool = newPhasePool(ex.shards, n.parOn)
+		defer ex.pool.close()
+	}
+	finish := func(err error) (int, error) {
+		ex.emitShardMetrics()
+		return n.rounds, n.finishTrace(start, err)
+	}
+	// Init runs in node-ID order on the caller's goroutine; its broadcasts
+	// land in the shard staging buffers (the Contexts are already wired).
+	// It is merged as a round-0 tick batch: no deliver phase ran, so the
+	// deliver counts are zero and every Init broadcast numbers from the
+	// tick bases — node-ID order again.
 	for i := range n.procs {
 		n.procs[i].Init(&n.ctxs[i])
 	}
+	ex.tickMerge()
 	for round := 1; round <= maxRounds; round++ {
 		if n.ctx != nil && n.ctx.Err() != nil {
-			return n.rounds, n.finishTrace(start, &CanceledError{Rounds: n.rounds, Cause: n.ctx.Err()})
+			return finish(&CanceledError{Rounds: n.rounds, Cause: n.ctx.Err()})
 		}
 		n.rounds = round
-		inbox := n.outbox
-		n.outbox = nil
 
 		// Deliver: receivers in ID order; at each receiver, messages in
-		// (sender, seq) order — inbox is already seq-ordered and seq is
-		// globally increasing, so a stable pass per receiver suffices.
-		// The fault model decides per-receiver how many copies arrive.
-		delivered := 0
-		for id := 0; id < n.g.N(); id++ {
-			for _, env := range inbox {
-				if !n.g.HasEdge(env.from, id) {
-					continue
-				}
-				copies := 1
-				if n.faults != nil {
-					copies = n.faults.Copies(round, env.from, id, env.seq, env.msg)
-				}
-				if n.tracer != nil {
-					kind, cnt := obs.KindDeliver, copies
-					if copies == 0 {
-						kind, cnt = obs.KindDrop, 0
-					}
-					n.tracer.Emit(obs.Event{Kind: kind, Stage: n.stage, Round: round,
-						Type: env.msg.Type(), From: env.from, To: id, N: cnt})
-				}
-				for c := 0; c < copies; c++ {
-					n.procs[id].Handle(&n.ctxs[id], env.from, env.msg)
-					delivered++
-				}
-			}
-		}
-		for id := 0; id < n.g.N(); id++ {
-			n.procs[id].Tick(&n.ctxs[id], round)
-		}
-		n.trace = append(n.trace, RoundStats{Round: round, Delivered: delivered, Sent: len(n.outbox)})
+		// (sender, seq) order. The fault model decides per receiver how
+		// many copies arrive.
+		ex.each(func(sh *shardState) { sh.deliver(round) })
+		delivered := ex.deliverMerge()
+		ex.each(func(sh *shardState) { sh.tick(round) })
+		sent := ex.tickMerge()
+
+		n.trace = append(n.trace, RoundStats{Round: round, Delivered: delivered, Sent: sent})
 		if n.tracer != nil {
 			n.tracer.Emit(obs.Event{Kind: obs.KindRound, Stage: n.stage, Round: round,
-				From: obs.NoNode, To: obs.NoNode, Sent: len(n.outbox), Delivered: delivered})
+				From: obs.NoNode, To: obs.NoNode, Sent: sent, Delivered: delivered})
 		}
 
 		// Termination. In reliable mode Done subsumes delivery: a Reliable
 		// node reports Done only once its payloads are acknowledged and
-		// consumed everywhere, so leftover shim bookkeeping in the outbox
-		// does not keep the run alive. In plain mode quiescence is the
-		// classic global condition: nothing in flight and everyone Done.
+		// consumed everywhere, so leftover shim bookkeeping in flight does
+		// not keep the run alive. In plain mode quiescence is the classic
+		// global condition: nothing in flight and everyone Done.
 		if n.reliable {
 			if n.allDone() {
-				return round, n.finishTrace(start, nil)
+				return finish(nil)
 			}
-		} else if len(n.outbox) == 0 && n.allDone() {
-			return round, n.finishTrace(start, nil)
+		} else if sent == 0 && n.allDone() {
+			return finish(nil)
 		}
 
 		// A long not-yet-quiescent stretch is the interesting part of a
@@ -506,10 +488,18 @@ func (n *Network) Run(maxRounds int) (int, error) {
 				}
 			}
 			n.tracer.Emit(obs.Event{Kind: obs.KindQuiesceWait, Stage: n.stage, Round: round,
-				From: obs.NoNode, To: obs.NoNode, N: notDone, Sent: len(n.outbox)})
+				From: obs.NoNode, To: obs.NoNode, N: notDone, Sent: sent})
 		}
+
+		ex.maybeRepartition(round)
 	}
-	return n.rounds, n.finishTrace(start, n.quiescenceError())
+	// ex.inFlight holds the final round's broadcasts by type: the
+	// undelivered traffic.
+	inFlight := make(map[string]int, len(ex.inFlight))
+	for t, c := range ex.inFlight {
+		inFlight[t] = c
+	}
+	return finish(n.stuckError(inFlight))
 }
 
 // quiesceSnapshotEvery is the period, in rounds, of KindQuiesceWait
@@ -538,18 +528,6 @@ func (n *Network) finishTrace(start time.Time, err error) error {
 		From: obs.NoNode, To: obs.NoNode, N: n.TotalSent(),
 		WallNS: time.Since(start).Nanoseconds(), Note: note})
 	return err
-}
-
-// quiescenceError assembles the sequential kernel's diagnostic for a run
-// that exhausted its round budget, reading the in-flight traffic off the
-// outbox; the sharded kernel computes the same tally from its merged
-// per-round counters and calls stuckError directly.
-func (n *Network) quiescenceError() error {
-	inFlight := make(map[string]int)
-	for _, env := range n.outbox {
-		inFlight[env.msg.Type()]++
-	}
-	return n.stuckError(inFlight)
 }
 
 // stuckError builds the QuiescenceError: the nodes that were not Done
@@ -596,15 +574,13 @@ func (n *Network) Protocol(id int) Protocol {
 func (n *Network) Rounds() int { return n.rounds }
 
 // ShardsUsed returns the number of shards the last Run actually executed
-// on: 0 for the classic sequential kernel (the default, or the fallback
-// when the fault model cannot be sharded), otherwise the clamped
-// WithShards value.
+// on: the WithShards value clamped to the node count, or 1 by default and
+// when the fault model cannot be split (0 before the first Run).
 func (n *Network) ShardsUsed() int { return n.shardsOn }
 
 // ParallelismUsed returns the number of phase workers the last Run
-// actually executed with: 0 for the sequential kernel, otherwise the
-// resolved WithParallelism value (defaulted to GOMAXPROCS, clamped to the
-// shard count).
+// actually executed with: the resolved WithParallelism value (defaulted
+// to GOMAXPROCS, clamped to the shard count), or 0 before the first Run.
 func (n *Network) ParallelismUsed() int { return n.parOn }
 
 // ReliableNodeStats returns each node's ack/retransmission shim counters
