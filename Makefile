@@ -9,7 +9,7 @@ GO ?= go
 DATE := $(shell date +%F)
 FUZZTIME ?= 10s
 
-.PHONY: check fmt vet lint build test race race-shard fuzz bench bench-smoke trace-smoke chaos-smoke serve-smoke wal-smoke wal-soak wal-soak-long clean
+.PHONY: check fmt vet lint build test race race-shard fuzz bench bench-smoke trace-smoke chaos-smoke serve-smoke wal-smoke wal-soak wal-soak-long examples-smoke clean
 
 check: fmt lint build test race
 
@@ -150,6 +150,21 @@ wal-soak:
 
 wal-soak-long:
 	$(MAKE) wal-soak SOAKCYCLES=500
+
+# examples-smoke builds and runs every examples/* main; a build failure or
+# a non-zero exit fails the target (with the example's output shown), so
+# the examples cannot rot unnoticed.
+examples-smoke:
+	@tmp="$$(mktemp -d)"; \
+	for d in examples/*/; do \
+		name="$$(basename "$$d")"; \
+		if $(GO) build -o "$$tmp/$$name" "./$$d" && "$$tmp/$$name" > "$$tmp/$$name.out" 2>&1; then \
+			echo "ok    examples/$$name"; \
+		else \
+			cat "$$tmp/$$name.out" 2>/dev/null; echo "FAIL  examples/$$name"; rm -rf "$$tmp"; exit 1; \
+		fi; \
+	done; \
+	rm -rf "$$tmp"
 
 clean:
 	$(GO) clean ./...

@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"math/rand"
 	"testing"
 
 	"geospanner/internal/cluster"
@@ -304,8 +303,6 @@ func BenchmarkRouteGFG(b *testing.B) {
 	}
 }
 
-func benchRand(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
-
 func sizeName(n int) string {
 	switch {
 	case n < 100:
@@ -401,25 +398,6 @@ func BenchmarkAsyncClustering(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-func BenchmarkUDGBuildQuadtree(b *testing.B) {
-	inst := benchInstance(b, 5, 500, 60)
-	b.Run("uniform", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			udg.BuildQuadtree(inst.Points, 60)
-		}
-	})
-	r := benchRand(77)
-	clustered, err := udg.GeneratePoints(r, udg.Clustered, 500, 200)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("clustered", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			udg.BuildQuadtree(clustered, 30)
-		}
-	})
 }
 
 func BenchmarkRouteDiscovery(b *testing.B) {

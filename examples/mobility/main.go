@@ -1,8 +1,11 @@
-// Mobility: nodes move under the random-waypoint model while the logical
-// backbone is maintained. The paper's point: the *logical* topology stays
-// usable as long as no constructed link is broken, so rebuilds are needed
-// only occasionally — and each rebuild costs every node only a constant
-// number of messages.
+// Mobility: nodes move under the random-waypoint model while a topology
+// server keeps the backbone current. Each node announces its position
+// every few steps, staggered by ID, and each step's announcements are one
+// epoch of move events. The server re-runs only the elections those moves
+// touch (a witness patch, bit-identical to a rebuild) and recomputes the
+// structures only when a batch reaches too much of the network — the
+// paper's point that the backbone is easy to maintain when nodes move
+// around.
 //
 //	go run ./examples/mobility
 package main
@@ -12,68 +15,53 @@ import (
 	"log"
 
 	"geospanner"
-	"geospanner/internal/graph"
 	"geospanner/internal/mobility"
 )
 
 func main() {
 	const (
-		n      = 80
-		region = 200.0
+		n      = 300
+		region = 600.0
 		radius = 60.0
 		speed  = 2.0 // distance units per time step
-		steps  = 120
+		beacon = 150 // steps between a node's position announcements
+		steps  = 40
 	)
 	inst, err := geospanner.GenerateInstance(11, n, region, radius)
 	if err != nil {
 		log.Fatal(err)
 	}
-
-	// Rebuild = run the full pipeline on current positions and keep the
-	// spanning LDel(ICDS') topology as the logical graph to maintain.
-	var lastMsgs int
-	rebuild := func(pts []geospanner.Point) (*graph.Graph, error) {
-		g := geospanner.BuildUDG(pts, radius)
-		if !g.Connected() {
-			// A disconnected snapshot cannot host a backbone; keep only
-			// its largest component implicitly by building anyway — the
-			// pipeline tolerates it, but we report it.
-			fmt.Println("  (warning: UDG snapshot disconnected)")
-		}
-		res, err := geospanner.Build(g, radius)
-		if err != nil {
-			return nil, err
-		}
-		lastMsgs = res.MsgsLDel.Max()
-		return res.LDelICDSPrime, nil
-	}
-
-	maint, err := mobility.NewMaintainer(radius, 0.05, rebuild)
+	srv, err := geospanner.NewServer(inst.Points, radius)
 	if err != nil {
 		log.Fatal(err)
 	}
+	ep := srv.Current()
+	fmt.Printf("t=0: backbone built, %d of %d UDG edges kept\n", ep.Backbone.NumEdges(), ep.UDG.NumEdges())
+
 	model := mobility.NewModel(23, inst.Points, region, speed)
-
-	if _, err := maint.Observe(model.Positions()); err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("t=0: initial backbone built, %d edges, max %d msgs/node\n",
-		maint.Topology().NumEdges(), lastMsgs)
-
-	rebuilt := 0
 	for t := 1; t <= steps; t++ {
-		pts := model.Step(1)
-		changed, err := maint.Observe(pts)
-		if err != nil {
+		var batch []geospanner.TopologyEvent
+		for v, p := range model.Step(1) {
+			if (t+v)%beacon == 0 {
+				batch = append(batch, geospanner.NewMove(v, p))
+			}
+		}
+		if ep, err = srv.Apply(batch); err != nil {
 			log.Fatal(err)
 		}
-		if changed {
-			rebuilt++
-			fmt.Printf("t=%d: links broke past threshold -> rebuilt (%d edges, max %d msgs/node)\n",
-				t, maint.Topology().NumEdges(), lastMsgs)
+		if t%10 == 0 {
+			topo := ep.Topology()
+			fmt.Printf("t=%d: epoch %d, %d moves [%s]: backbone %d edges over %d nodes, %d component(s)\n",
+				t, ep.Seq, len(batch), ep.Stats.Mode(), topo.BackboneEdges, topo.BackboneNodes, topo.Components)
 		}
 	}
-	fmt.Printf("\n%d steps at speed %.0f: %d rebuilds (plus the initial build), %d broken-link events observed\n",
-		steps, speed, rebuilt, maint.BrokenObs)
-	fmt.Println("between rebuilds the logical planar backbone remained valid for routing")
+
+	st := srv.Stats()
+	fmt.Printf("\n%d steps at speed %.0f: %d moves in %d epochs, %d patched in place, %d recomputed\n",
+		steps, speed, st.Applied, st.Epochs, st.PatchedEpochs, st.Recomputes)
+	path, seq, err := srv.Route(0, n-1)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("route 0 -> %d on epoch %d: %d hops over the maintained backbone\n", n-1, seq, len(path)-1)
 }

@@ -317,13 +317,8 @@ type remapTracer struct {
 
 // Emit implements obs.Tracer.
 func (t remapTracer) Emit(e obs.Event) {
-	// Executor events carry a shard index in From, not a node ID; only a
-	// repartition's To (the shard's first owned node) is a translatable
-	// node reference.
+	// Executor events carry a shard index in From, not a node ID.
 	if obs.ExecutorKind(e.Kind) {
-		if e.Kind == obs.KindRepartition && e.To >= 0 && e.To < len(t.ids) {
-			e.To = t.ids[e.To]
-		}
 		t.inner.Emit(e)
 		return
 	}

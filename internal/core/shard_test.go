@@ -15,10 +15,10 @@ import (
 )
 
 // stripShardLines removes the executor's events — per-shard load reports
-// and re-partitioning notices — from a JSONL trace. Executor events
-// describe the machine (shard count, boundaries, wall time), not the
-// protocol, so they are the one part of a traced run excluded from the
-// cross-kernel-configuration determinism contract.
+// — from a JSONL trace. Executor events describe the machine (shard
+// count, wall time), not the protocol, so they are the one part of a
+// traced run excluded from the cross-kernel-configuration determinism
+// contract.
 func stripShardLines(t *testing.T, trace []byte) []byte {
 	t.Helper()
 	var out bytes.Buffer
@@ -181,37 +181,78 @@ func TestShardGoldenTraceUnchanged(t *testing.T) {
 // TestShardPartialBuild: multi-shard runs compose with the
 // partition-aware build — per-component pipelines run sharded (remapped
 // faults included) and produce the default build's exact partial
-// result.
+// result. The second case carries a stateful model: a band of crashes
+// splits the network into two live components, each runs its three
+// stages over its own node count, so every stage sees the same uniform
+// partition and each Gilbert chain stays in the shard instance of its
+// receiver.
 func TestShardPartialBuild(t *testing.T) {
-	inst, err := udg.ConnectedInstance(13, 60, 200, 60, 0)
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name   string
+		radius float64
+		// faults builds the model fresh per build: Gilbert is stateful.
+		faults     func(inst *udg.Instance) sim.FaultModel
+		rel        sim.ReliableConfig
+		shards     []int
+		parallel   int
+		components int
+	}{
+		{"crash", 60, func(*udg.Instance) sim.FaultModel {
+			return sim.CrashAt(map[int]int{5: 1})
+		}, sim.ReliableConfig{MaxRetries: 3}, []int{2, 8}, 0, 1},
+		{"crash-band+gilbert", 45, func(inst *udg.Instance) sim.FaultModel {
+			band := make(map[int]int)
+			for v := 0; v < inst.UDG.N(); v++ {
+				if x := inst.UDG.Point(v).X; x > 75 && x < 125 {
+					band[v] = 1
+				}
+			}
+			return sim.Compose(sim.CrashAt(band), sim.Gilbert(41, 0.1, 0.5, 0.6))
+		}, sim.ReliableConfig{}, []int{2, 4, 8}, 2, 2},
 	}
-	// Crash a node to force the partition machinery into play.
-	crash := sim.CrashAt(map[int]int{5: 1})
-	base := []BuildOption{WithPartialResults(), WithMaxRounds(2000), WithFaults(crash),
-		WithReliability(sim.ReliableConfig{MaxRetries: 3})}
-	want, err := Build(inst.UDG.Clone(), inst.Radius, base...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range []int{2, 8} {
-		got, err := Build(inst.UDG.Clone(), inst.Radius, append(append([]BuildOption(nil), base...), WithShards(p))...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !got.LDelICDS.Equal(want.LDelICDS) {
-			t.Fatalf("shards=%d: partial-build graphs diverge", p)
-		}
-		if !reflect.DeepEqual(got.MsgsLDel.PerNode, want.MsgsLDel.PerNode) {
-			t.Fatalf("shards=%d: partial-build ledgers diverge", p)
-		}
-		if (got.Health == nil) != (want.Health == nil) {
-			t.Fatalf("shards=%d: health report presence diverges", p)
-		}
-		if got.Health != nil && !reflect.DeepEqual(got.Health.DeadNodes, want.Health.DeadNodes) {
-			t.Fatalf("shards=%d: dead sets diverge", p)
-		}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			inst, err := udg.ConnectedInstance(13, 60, 200, tc.radius, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			build := func(extra ...BuildOption) *Result {
+				t.Helper()
+				opts := []BuildOption{WithPartialResults(), WithMaxRounds(2000),
+					WithFaults(tc.faults(inst)), WithReliability(tc.rel)}
+				res, err := Build(inst.UDG.Clone(), inst.Radius, append(opts, extra...)...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return res
+			}
+			want := build()
+			if want.Health == nil {
+				t.Fatal("partial build carries no health report")
+			}
+			if len(want.Health.Components) != tc.components {
+				t.Fatalf("%d live components, want %d", len(want.Health.Components), tc.components)
+			}
+			for _, p := range tc.shards {
+				label := fmt.Sprintf("shards=%d/par=%d", p, tc.parallel)
+				got := build(WithShards(p), WithParallelism(tc.parallel))
+				if !got.LDelICDS.Equal(want.LDelICDS) {
+					t.Fatalf("%s: partial-build graphs diverge", label)
+				}
+				if !reflect.DeepEqual(got.MsgsLDel.PerNode, want.MsgsLDel.PerNode) {
+					t.Fatalf("%s: partial-build ledgers diverge", label)
+				}
+				if got.Reliable != want.Reliable {
+					t.Fatalf("%s: reliable counters %+v, want %+v", label, got.Reliable, want.Reliable)
+				}
+				if got.Rounds != want.Rounds {
+					t.Fatalf("%s: rounds %+v, want %+v", label, got.Rounds, want.Rounds)
+				}
+				if got.Health == nil || !reflect.DeepEqual(got.Health.DeadNodes, want.Health.DeadNodes) {
+					t.Fatalf("%s: dead sets diverge", label)
+				}
+			}
+		})
 	}
 }
 

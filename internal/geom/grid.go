@@ -13,11 +13,9 @@ import (
 // neighborhood, so enumerating all pairs within r over the whole set is
 // expected O(n + m).
 //
-// It is the shared index behind udg.Build (bulk pair enumeration at the
-// transmission radius) and a drop-in alternative to the quadtree for
-// closed-disk range queries (RangeCircle has the same contract as
-// quadtree.Tree.RangeCircle): the grid wins on uniform instances, the
-// quadtree on strongly clustered ones.
+// It is the repo's one spatial index: udg.Build enumerates pairs at the
+// transmission radius with it, and RangeCircle answers closed-disk range
+// queries of any radius.
 //
 // All iteration orders are deterministic functions of the point set: cells
 // are visited in fixed (dx, dy) order and buckets hold indices in
@@ -89,9 +87,7 @@ func (g *Grid) ForEachPairWithin(r float64, fn func(i, j int)) {
 }
 
 // RangeCircle returns the indices of all points within Euclidean distance
-// radius of center (closed disk), in ascending index order — the same
-// contract as quadtree.Tree.RangeCircle, so the two indexes are
-// interchangeable.
+// radius of center (closed disk), in ascending index order.
 func (g *Grid) RangeCircle(center Point, radius float64) []int {
 	var out []int
 	if g.buckets == nil || radius < 0 {

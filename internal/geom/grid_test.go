@@ -72,6 +72,17 @@ func TestGridPairsDeterministicOrder(t *testing.T) {
 	}
 }
 
+// bruteRange lists the indices of pts within the closed disk, ascending.
+func bruteRange(pts []Point, c Point, r float64) []int {
+	var out []int
+	for i, p := range pts {
+		if p.Dist2(c) <= r*r {
+			out = append(out, i)
+		}
+	}
+	return out
+}
+
 func TestGridRangeCircle(t *testing.T) {
 	pts := randPts(11, 250, 100)
 	g := NewGrid(pts, 10)
@@ -89,18 +100,29 @@ func TestGridRangeCircle(t *testing.T) {
 	}
 	for qi, q := range queries {
 		got := g.RangeCircle(q.c, q.r)
-		var want []int
-		r2 := q.r * q.r
-		for i, p := range pts {
-			if p.Dist2(q.c) <= r2 {
-				want = append(want, i)
-			}
-		}
-		if !reflect.DeepEqual(got, want) {
+		if want := bruteRange(pts, q.c, q.r); !reflect.DeepEqual(got, want) {
 			t.Fatalf("query %d: RangeCircle = %v, want %v", qi, got, want)
 		}
 		if !sort.IntsAreSorted(got) {
 			t.Fatalf("query %d: result not in ascending index order", qi)
+		}
+	}
+}
+
+// TestGridRangeCircleRandomQueries checks RangeCircle against brute force
+// on random point sets, cell sizes, and query disks larger or smaller than
+// a cell, with centres inside and outside the indexed region.
+func TestGridRangeCircleRandomQueries(t *testing.T) {
+	r := rand.New(rand.NewSource(2))
+	for trial := 0; trial < 10; trial++ {
+		pts := randPts(int64(trial), 1+r.Intn(300), 100)
+		g := NewGrid(pts, 1+r.Float64()*30)
+		for q := 0; q < 10; q++ {
+			c := Pt(r.Float64()*120-10, r.Float64()*120-10)
+			radius := r.Float64() * 50
+			if got, want := g.RangeCircle(c, radius), bruteRange(pts, c, radius); !reflect.DeepEqual(got, want) {
+				t.Fatalf("trial %d query %d: RangeCircle = %v, want %v", trial, q, got, want)
+			}
 		}
 	}
 }

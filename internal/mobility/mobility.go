@@ -1,16 +1,13 @@
-// Package mobility provides the random-waypoint movement model and the
-// backbone maintenance loop that exercises the paper's "easy to maintain
-// when nodes move around" claim: the logical backbone stays valid while no
-// constructed link stretches beyond the transmission radius, and is rebuilt
-// locally (here: globally, as the paper's simulations do) when links break.
+// Package mobility provides the random-waypoint movement model that
+// exercises the paper's "easy to maintain when nodes move around" claim:
+// its positions feed a topology service (internal/serve) as move events,
+// and the service patches the backbone around each batch of moves.
 package mobility
 
 import (
-	"fmt"
 	"math/rand"
 
 	"geospanner/internal/geom"
-	"geospanner/internal/graph"
 )
 
 // Model is a random-waypoint mobility model: every node picks a uniform
@@ -74,78 +71,4 @@ func (m *Model) Step(dt float64) []geom.Point {
 		}
 	}
 	return m.Positions()
-}
-
-// BrokenEdges returns the edges of g whose current endpoint distance
-// exceeds the radius — the logical links that physical movement has
-// broken.
-func BrokenEdges(g *graph.Graph, pts []geom.Point, radius float64) []graph.Edge {
-	var broken []graph.Edge
-	r2 := radius * radius
-	for _, e := range g.Edges() {
-		if pts[e.U].Dist2(pts[e.V]) > r2 {
-			broken = append(broken, e)
-		}
-	}
-	return broken
-}
-
-// Maintainer watches a logical topology under mobility and rebuilds it when
-// the fraction of broken links crosses a threshold. Rebuild is supplied by
-// the caller (typically the core pipeline); the maintainer counts rebuilds
-// and broken-link observations so experiments can report maintenance cost.
-type Maintainer struct {
-	radius    float64
-	threshold float64
-	rebuild   func(pts []geom.Point) (*graph.Graph, error)
-
-	topo      *graph.Graph
-	Rebuilds  int
-	BrokenObs int
-}
-
-// NewMaintainer creates a maintainer. threshold is the broken-link fraction
-// (of current topology edges) that triggers a rebuild; rebuild produces a
-// fresh topology from positions.
-func NewMaintainer(radius, threshold float64, rebuild func([]geom.Point) (*graph.Graph, error)) (*Maintainer, error) {
-	if threshold < 0 || threshold > 1 {
-		return nil, fmt.Errorf("mobility: threshold %v outside [0,1]", threshold)
-	}
-	if rebuild == nil {
-		return nil, fmt.Errorf("mobility: rebuild function required")
-	}
-	return &Maintainer{radius: radius, threshold: threshold, rebuild: rebuild}, nil
-}
-
-// Topology returns the current logical topology (nil before the first
-// Observe).
-func (mt *Maintainer) Topology() *graph.Graph { return mt.topo }
-
-// Observe feeds the current positions: it rebuilds the topology when none
-// exists yet or when the broken fraction exceeds the threshold, and
-// reports whether a rebuild happened.
-func (mt *Maintainer) Observe(pts []geom.Point) (bool, error) {
-	if mt.topo == nil {
-		return true, mt.doRebuild(pts)
-	}
-	broken := BrokenEdges(mt.topo, pts, mt.radius)
-	mt.BrokenObs += len(broken)
-	total := mt.topo.NumEdges()
-	if total == 0 {
-		return false, nil
-	}
-	if float64(len(broken))/float64(total) > mt.threshold {
-		return true, mt.doRebuild(pts)
-	}
-	return false, nil
-}
-
-func (mt *Maintainer) doRebuild(pts []geom.Point) error {
-	topo, err := mt.rebuild(pts)
-	if err != nil {
-		return fmt.Errorf("mobility: rebuild: %w", err)
-	}
-	mt.topo = topo
-	mt.Rebuilds++
-	return nil
 }

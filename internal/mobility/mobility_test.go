@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"geospanner/internal/geom"
-	"geospanner/internal/graph"
 	"geospanner/internal/udg"
 )
 
@@ -57,71 +56,5 @@ func TestModelPositionsCopy(t *testing.T) {
 	p[0] = geom.Pt(9, 9)
 	if m.Positions()[0].Eq(geom.Pt(9, 9)) {
 		t.Fatal("Positions leaked internal state")
-	}
-}
-
-func TestBrokenEdges(t *testing.T) {
-	pts := []geom.Point{geom.Pt(0, 0), geom.Pt(1, 0)}
-	g := graph.New(pts)
-	g.AddEdge(0, 1)
-	moved := []geom.Point{geom.Pt(0, 0), geom.Pt(3, 0)}
-	broken := BrokenEdges(g, moved, 2)
-	if len(broken) != 1 {
-		t.Fatalf("broken = %v, want 1 edge", broken)
-	}
-	if len(BrokenEdges(g, pts, 2)) != 0 {
-		t.Fatal("unmoved edges reported broken")
-	}
-}
-
-func TestMaintainerValidation(t *testing.T) {
-	if _, err := NewMaintainer(1, -0.1, func([]geom.Point) (*graph.Graph, error) { return nil, nil }); err == nil {
-		t.Fatal("negative threshold accepted")
-	}
-	if _, err := NewMaintainer(1, 0.5, nil); err == nil {
-		t.Fatal("nil rebuild accepted")
-	}
-}
-
-func TestMaintainerRebuilds(t *testing.T) {
-	region, radius := 100.0, 40.0
-	start := udg.RandomPoints(newRandSource(11), 30, region)
-	rebuilds := 0
-	mt, err := NewMaintainer(radius, 0.05, func(pts []geom.Point) (*graph.Graph, error) {
-		rebuilds++
-		return udg.Build(pts, radius), nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// First observation always builds.
-	changed, err := mt.Observe(start)
-	if err != nil || !changed {
-		t.Fatalf("first Observe: changed=%v err=%v", changed, err)
-	}
-	if mt.Topology() == nil {
-		t.Fatal("no topology after first Observe")
-	}
-	// Run mobility until links break and a rebuild triggers.
-	m := NewModel(5, start, region, 10)
-	sawRebuild := false
-	for i := 0; i < 100; i++ {
-		pts := m.Step(1)
-		changed, err := mt.Observe(pts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if changed {
-			sawRebuild = true
-		}
-	}
-	if !sawRebuild {
-		t.Fatal("no rebuild over 100 steps of fast movement")
-	}
-	if mt.Rebuilds != rebuilds {
-		t.Fatalf("Rebuilds = %d, callbacks = %d", mt.Rebuilds, rebuilds)
-	}
-	if mt.Rebuilds < 2 {
-		t.Fatalf("Rebuilds = %d, want >= 2", mt.Rebuilds)
 	}
 }

@@ -148,9 +148,6 @@ type StageMetrics struct {
 	ShardWall                      Histogram
 	ShardMaxWall                   int64
 	ShardPoolHits, ShardPoolMisses int
-	// Repartitions counts per-shard repartition events: occupancy-driven
-	// boundary moves of the sharded kernel.
-	Repartitions int
 	// Epochs counts maintenance epochs of a live topology service;
 	// EpochEvents is the per-epoch applied-event distribution,
 	// EpochRejected the total no-op events, EpochRoleChanges the total
@@ -253,8 +250,6 @@ func (m *Metrics) Emit(e Event) {
 		}
 		s.ShardPoolHits += e.Sent
 		s.ShardPoolMisses += e.Delivered
-	case KindRepartition:
-		s.Repartitions++
 	case KindEpoch:
 		s.Epochs++
 		s.EpochEvents.Add(int64(e.N))

@@ -82,13 +82,6 @@ const (
 	// the shard count, so determinism comparisons across shard counts
 	// strip them along with WallNS.
 	KindShard Kind = "shard"
-	// KindRepartition reports an occupancy-driven rebalance of the sharded
-	// kernel's node ranges: one event per shard whenever the kernel moves
-	// its contiguous ID boundaries, with From the shard index, N the
-	// number of nodes the shard owns after the move, To the first owned
-	// node ID, and Round the round after which the rebalance took effect.
-	// Like KindShard, it describes the executor, not the protocol.
-	KindRepartition Kind = "repartition"
 	// KindEpoch closes one maintenance epoch of a long-lived topology
 	// service: Round is the epoch sequence number, N the events applied,
 	// Delivered the events rejected as no-ops, Sent the roles changed, and
@@ -116,7 +109,7 @@ var knownKinds = map[Kind]bool{
 	KindSend: true, KindDeliver: true, KindDrop: true, KindState: true,
 	KindRetransmit: true, KindGiveUp: true, KindQuiesceWait: true,
 	KindStuck: true, KindPartition: true, KindComponent: true,
-	KindShard: true, KindRepartition: true,
+	KindShard: true,
 	KindEpoch: true, KindSnapshot: true, KindDegraded: true,
 }
 
@@ -124,11 +117,11 @@ var knownKinds = map[Kind]bool{
 func KnownKind(k Kind) bool { return knownKinds[k] }
 
 // ExecutorKind reports whether k describes the execution machinery (shard
-// load reports, re-partitioning) rather than the simulated protocol.
-// Executor events legitimately vary with the shard count and worker pool,
-// so determinism comparisons across kernel configurations strip them; the
-// protocol-level stream that remains is bit-identical.
-func ExecutorKind(k Kind) bool { return k == KindShard || k == KindRepartition }
+// load reports) rather than the simulated protocol. Executor events
+// legitimately vary with the shard count and worker pool, so determinism
+// comparisons across kernel configurations strip them; the protocol-level
+// stream that remains is bit-identical.
+func ExecutorKind(k Kind) bool { return k == KindShard }
 
 // NoNode is the From/To value of events that do not concern a node.
 const NoNode = -1

@@ -117,10 +117,10 @@ func writeError(w http.ResponseWriter, status int, err error) {
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
-	report, epoch := s.Health()
 	ep := s.Current()
+	report := s.health(ep)
 	writeJSON(w, http.StatusOK, HealthResponse{
-		Epoch:              epoch,
+		Epoch:              ep.Seq,
 		Healthy:            report.Healthy(),
 		Mode:               string(report.Mode),
 		Alive:              ep.Topology().Alive,

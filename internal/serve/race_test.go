@@ -1,7 +1,11 @@
 package serve
 
 import (
+	"encoding/json"
+	"fmt"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -15,10 +19,13 @@ import (
 // backbone snapshots match the epoch's sequence number, sequence numbers
 // never go backwards, and every returned path is a live walk of the pinned
 // snapshot — while the race detector checks the copy-on-write publication
-// shares nothing mutable with the writer.
+// shares nothing mutable with the writer. One more reader polls /healthz
+// and asserts every response describes one epoch: its alive and dead
+// counts partition the node slots.
 func TestSnapshotSwapUnderConcurrentReaders(t *testing.T) {
 	s, inst := newServer(t, 71, 300)
 	sched := NewScheduler(72, inst.Points, 200, inst.Radius)
+	n := len(inst.Points)
 
 	const readers = 8
 	stop := make(chan struct{})
@@ -81,6 +88,30 @@ func TestSnapshotSwapUnderConcurrentReaders(t *testing.T) {
 			}
 		}(r)
 	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		h := s.Handler()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/healthz", nil))
+			var hr HealthResponse
+			if err := json.NewDecoder(rec.Body).Decode(&hr); err != nil {
+				fail("healthz: " + err.Error())
+				return
+			}
+			if hr.Alive+hr.Dead != n {
+				fail(fmt.Sprintf("healthz epoch %d mixes epochs: alive %d + dead %d != %d nodes", hr.Epoch, hr.Alive, hr.Dead, n))
+				return
+			}
+			queries.Add(1)
+		}
+	}()
 
 	for epoch := 0; epoch < 15; epoch++ {
 		if _, err := s.Apply(sched.Batch(25)); err != nil {

@@ -102,7 +102,7 @@ func WithWALRetry(retries int, backoff time.Duration) Option {
 // epoch is bit-identical to a from-scratch rebuild — only how much work
 // each epoch does.
 func WithPatchScope(f float64) Option {
-	return func(s *Server) { s.patchScope, s.patchScopeSet = f, true }
+	return func(s *Server) { s.patchScope = f }
 }
 
 // WithWAL makes the server durable: every Apply appends the epoch's event
@@ -122,14 +122,13 @@ func WithWALConfig(dir string, cfg wal.Config) Option {
 
 // Server owns a maintained topology and serves epoch snapshots of it.
 type Server struct {
-	mu            sync.Mutex // serializes writers (Apply); readers never take it
-	st            *maintain.State
-	seq           uint64
-	fallbackFrac  float64
-	fallbackSet   bool // WithFallbackFraction given explicitly
-	patchScope    float64
-	patchScopeSet bool // WithPatchScope given explicitly
-	tracer        obs.Tracer
+	mu           sync.Mutex // serializes writers (Apply); readers never take it
+	st           *maintain.State
+	seq          uint64
+	fallbackFrac float64
+	fallbackSet  bool // WithFallbackFraction given explicitly
+	patchScope   float64
+	tracer       obs.Tracer
 
 	walDir       string
 	walCfg       wal.Config
@@ -162,9 +161,18 @@ type Server struct {
 // counted as a recompute: the recompute-ratio metric measures maintenance,
 // not construction.
 func New(pts []geom.Point, radius float64, opts ...Option) (*Server, error) {
-	own := append([]geom.Point(nil), pts...)
+	s := configure(opts)
+	s.st = maintain.New(append([]geom.Point(nil), pts...), radius)
+	if err := s.start(); err != nil {
+		return nil, fmt.Errorf("serve: %w", err)
+	}
+	return s, nil
+}
+
+// configure returns a server carrying the defaults with opts applied; the
+// constructors then attach the maintained state and call start.
+func configure(opts []Option) *Server {
 	s := &Server{
-		st:           maintain.New(own, radius),
 		fallbackFrac: maintain.DefaultFallbackFraction,
 		retries:      DefaultWALRetries,
 		retryBackoff: DefaultWALRetryBackoff,
@@ -172,20 +180,23 @@ func New(pts []geom.Point, radius float64, opts ...Option) (*Server, error) {
 	for _, o := range opts {
 		o(s)
 	}
-	if s.patchScopeSet {
-		s.st.PatchScopeFraction = s.patchScope
-	}
+	return s
+}
+
+// start derives the backbone of the maintained state, publishes it as
+// epoch s.seq, and — when WithWAL asked for durability and no recovered
+// log is attached yet — starts a fresh log at that epoch.
+func (s *Server) start() error {
+	s.st.PatchScopeFraction = s.patchScope
 	conn, pldel, err := s.st.Structures()
 	if err != nil {
-		return nil, fmt.Errorf("serve: initial backbone: %w", err)
+		return fmt.Errorf("backbone at epoch %d: %w", s.seq, err)
 	}
-	s.cur.Store(s.buildEpoch(0, conn, pldel, EpochStats{}))
-	if s.walDir != "" {
-		if s.wal, err = wal.Create(s.walDir, s.st, 0, s.fallbackFrac, s.walCfg); err != nil {
-			return nil, fmt.Errorf("serve: %w", err)
-		}
+	s.cur.Store(s.buildEpoch(s.seq, conn, pldel, EpochStats{}))
+	if s.walDir != "" && s.wal == nil {
+		s.wal, err = wal.Create(s.walDir, s.st, s.seq, s.fallbackFrac, s.walCfg)
 	}
-	return s, nil
+	return err
 }
 
 // RecoverInfo reports what Recover reconstructed.
@@ -217,14 +228,7 @@ type RecoverInfo struct {
 // deliberately diverging from what the crashed server ran with. The
 // returned server keeps logging to dir.
 func Recover(dir string, opts ...Option) (*Server, RecoverInfo, error) {
-	s := &Server{
-		fallbackFrac: maintain.DefaultFallbackFraction,
-		retries:      DefaultWALRetries,
-		retryBackoff: DefaultWALRetryBackoff,
-	}
-	for _, o := range opts {
-		o(s)
-	}
+	s := configure(opts)
 	frac := math.NaN() // read it from the snapshot header
 	if s.fallbackSet {
 		frac = s.fallbackFrac
@@ -243,15 +247,10 @@ func Recover(dir string, opts ...Option) (*Server, RecoverInfo, error) {
 	}
 	s.fallbackFrac = res.FallbackFrac
 	s.st, s.seq, s.wal, s.walDir = res.State, res.Seq, log, dir
-	if s.patchScopeSet {
-		s.st.PatchScopeFraction = s.patchScope
-	}
-	conn, pldel, err := s.st.Structures()
-	if err != nil {
+	if err := s.start(); err != nil {
 		log.Close()
-		return nil, RecoverInfo{}, fmt.Errorf("serve: recover: backbone at epoch %d: %w", res.Seq, err)
+		return nil, RecoverInfo{}, fmt.Errorf("serve: recover: %w", err)
 	}
-	s.cur.Store(s.buildEpoch(s.seq, conn, pldel, EpochStats{}))
 	return s, info, nil
 }
 
@@ -275,29 +274,13 @@ func Restore(r io.Reader, opts ...Option) (*Server, error) {
 	if err != nil {
 		return nil, fmt.Errorf("serve: restore: %w", err)
 	}
-	s := &Server{st: st, seq: seq,
-		fallbackFrac: maintain.DefaultFallbackFraction,
-		retries:      DefaultWALRetries,
-		retryBackoff: DefaultWALRetryBackoff,
-	}
-	for _, o := range opts {
-		o(s)
-	}
+	s := configure(opts)
+	s.st, s.seq = st, seq
 	if !s.fallbackSet {
 		s.fallbackFrac = frac
 	}
-	if s.patchScopeSet {
-		s.st.PatchScopeFraction = s.patchScope
-	}
-	conn, pldel, err := s.st.Structures()
-	if err != nil {
-		return nil, fmt.Errorf("serve: restore: backbone at epoch %d: %w", seq, err)
-	}
-	s.cur.Store(s.buildEpoch(seq, conn, pldel, EpochStats{}))
-	if s.walDir != "" {
-		if s.wal, err = wal.Create(s.walDir, s.st, seq, s.fallbackFrac, s.walCfg); err != nil {
-			return nil, fmt.Errorf("serve: restore: %w", err)
-		}
+	if err := s.start(); err != nil {
+		return nil, fmt.Errorf("serve: restore: %w", err)
 	}
 	return s, nil
 }
@@ -766,19 +749,24 @@ func (s *Server) Topology() Topology {
 }
 
 // Health pins the current epoch and returns its live report with the
-// epoch it describes. While the server is degraded, the report carries
-// the Degraded flag and the storage error (on a copy — the epoch's own
-// report stays immutable).
+// epoch it describes.
 func (s *Server) Health() (*health.Report, uint64) {
-	s.healthQueries.Add(1)
 	ep := s.Current()
+	return s.health(ep), ep.Seq
+}
+
+// health counts a health query and returns ep's live report. While the
+// server is degraded, the report carries the Degraded flag and the
+// storage error (on a copy — the epoch's own report stays immutable).
+func (s *Server) health(ep *Epoch) *health.Report {
+	s.healthQueries.Add(1)
 	if s.degraded.Load() {
 		r := *ep.Report
 		r.Degraded = true
 		r.DegradedReason = s.degradedReasonStr()
-		return &r, ep.Seq
+		return &r
 	}
-	return ep.Report, ep.Seq
+	return ep.Report
 }
 
 // Stats is the cumulative service-level metrics rollup.

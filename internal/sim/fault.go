@@ -43,36 +43,6 @@ type FaultSharder interface {
 	ShardFaults(p int) []FaultModel
 }
 
-// FaultRehomer is an optional FaultSharder extension for the kernel's
-// occupancy-driven re-partitioning: when shard boundaries move, any
-// per-receiver state held inside the cached per-shard instances must move
-// with the receivers, or the next consultation would see a fresh chain
-// where an unsplit model sees an advanced one. Rehome moves that
-// state so that the chain of every directed link (from, to) lives in
-// instance owner(to), and reports whether it could. Stateless models
-// return true without doing anything; models that cannot migrate return
-// false, which disables re-partitioning for the run (the static partition
-// stays correct regardless).
-//
-// A multi-shard run also calls Rehome once at startup with the initial
-// partition, so per-link state left homed under a previous stage's final
-// (possibly rebalanced) partition is re-aligned before the next stage of
-// a multi-stage build consults it.
-type FaultRehomer interface {
-	Rehome(owner func(node int) int) bool
-}
-
-// rehomeFaults re-aligns fm's per-shard state with the partition described
-// by owner. A nil model trivially succeeds; a model that does not
-// implement FaultRehomer reports false.
-func rehomeFaults(fm FaultModel, owner func(node int) int) bool {
-	if fm == nil {
-		return true
-	}
-	fr, ok := fm.(FaultRehomer)
-	return ok && fr.Rehome(owner)
-}
-
 // shardFaultModels splits fm into p per-shard instances. A nil model
 // shards trivially. The second result is false when the model (or any
 // component of a composition) does not support sharding.
@@ -157,10 +127,6 @@ func (b bernoulli) ShardFaults(p int) []FaultModel {
 	return out
 }
 
-// Rehome implements FaultRehomer: the model is stateless, so there is
-// nothing to move.
-func (b bernoulli) Rehome(owner func(int) int) bool { return true }
-
 // Bernoulli returns a fault model that loses each per-receiver delivery
 // independently with probability p. The loss pattern is a deterministic
 // function of the seed.
@@ -221,9 +187,14 @@ func (g *gilbert) Copies(round, from, to, seq int, m Message) int {
 // loss pattern is bit-identical for any p. The instances are cached on
 // the parent: a multi-stage run (core.Build threads one fault model
 // through cluster, connector, and LDel) keeps advancing the same chains
-// across stages, exactly as the unsplit instance does on one shard. One
-// Gilbert value must therefore run under a consistent shard count —
-// changing p mid-build would reset the chains.
+// across stages, exactly as the unsplit instance does on one shard. The
+// kernel's partition is a function of the node count and p alone, and
+// every stage of a build runs over the same nodes, so each chain stays in
+// the instance of its receiver's shard from stage to stage; the
+// components of a partial build run one at a time over disjoint links, so
+// no chain is consulted under two partitions. One Gilbert value must
+// therefore run under a consistent shard count — changing p mid-build
+// would reset the chains.
 func (g *gilbert) ShardFaults(p int) []FaultModel {
 	if len(g.shards) != p {
 		g.shards = make([]FaultModel, p)
@@ -232,31 +203,6 @@ func (g *gilbert) ShardFaults(p int) []FaultModel {
 		}
 	}
 	return g.shards
-}
-
-// Rehome implements FaultRehomer: every per-link Markov chain held by the
-// cached per-shard instances moves to the instance owning the link's
-// receiver under the new partition. Chains are keyed by (from, to) and
-// moved wholesale, so the result is independent of map iteration order —
-// re-homing is deterministic. The parent's own chain map (used by
-// one-shard runs) is not touched.
-func (g *gilbert) Rehome(owner func(int) int) bool {
-	if len(g.shards) == 0 {
-		return true
-	}
-	rehomed := make([]map[[2]int]*gilbertLink, len(g.shards))
-	for i := range rehomed {
-		rehomed[i] = make(map[[2]int]*gilbertLink)
-	}
-	for _, fm := range g.shards {
-		for k, l := range fm.(*gilbert).state {
-			rehomed[owner(k[1])][k] = l
-		}
-	}
-	for i, fm := range g.shards {
-		fm.(*gilbert).state = rehomed[i]
-	}
-	return true
 }
 
 // Gilbert returns a bursty Gilbert–Elliott loss model: each directed link
@@ -299,10 +245,6 @@ func (c crashAt) ShardFaults(p int) []FaultModel {
 	}
 	return out
 }
-
-// Rehome implements FaultRehomer: the schedule is shared and read-only,
-// so ownership moves are free.
-func (c crashAt) Rehome(owner func(int) int) bool { return true }
 
 // CrashSchedule implements CrashScheduler.
 func (c crashAt) CrashSchedule() map[int]int {
@@ -350,9 +292,6 @@ func (d duplicate) ShardFaults(p int) []FaultModel {
 	return out
 }
 
-// Rehome implements FaultRehomer: stateless, nothing to move.
-func (d duplicate) Rehome(owner func(int) int) bool { return true }
-
 // Duplicate returns a fault model that delivers each message twice with
 // probability p, exercising receiver-side duplicate suppression.
 func Duplicate(seed int64, p float64) FaultModel { return duplicate{seed: seed, p: p} }
@@ -396,23 +335,6 @@ func (c compose) ShardFaults(p int) []FaultModel {
 		out[s] = compose{models: models}
 	}
 	return out
-}
-
-// Rehome implements FaultRehomer componentwise: every stage must be able
-// to migrate (probed before any state moves, so an unsupported stage
-// leaves the composition untouched).
-func (c compose) Rehome(owner func(int) int) bool {
-	for _, fm := range c.models {
-		if _, ok := fm.(FaultRehomer); !ok {
-			return false
-		}
-	}
-	for _, fm := range c.models {
-		if !fm.(FaultRehomer).Rehome(owner) {
-			return false
-		}
-	}
-	return true
 }
 
 // CrashSchedule implements CrashScheduler: the union of every stage's
@@ -470,29 +392,6 @@ func (r remapFaults) ShardFaults(p int) []FaultModel {
 		out[s] = remapFaults{fm: sub[s], ids: r.ids}
 	}
 	return out
-}
-
-// Rehome implements FaultRehomer by translating the kernel's local-ID
-// owner function into the wrapped model's global coordinates: the wrapped
-// state is keyed by global IDs (Copies translates before consulting), so
-// its rehoming must ask where each *global* receiver now lives. Global
-// IDs outside the component never key any state; they are mapped to
-// shard 0 harmlessly.
-func (r remapFaults) Rehome(owner func(int) int) bool {
-	fr, ok := r.fm.(FaultRehomer)
-	if !ok {
-		return false
-	}
-	inv := make(map[int]int, len(r.ids))
-	for local, global := range r.ids {
-		inv[global] = local
-	}
-	return fr.Rehome(func(global int) int {
-		if local, ok := inv[global]; ok {
-			return owner(local)
-		}
-		return 0
-	})
 }
 
 // RemapFaults wraps fm so that local node i is presented to it as global

@@ -10,8 +10,7 @@ import (
 // loop — one global outbox, delivered each round by scanning every
 // receiver against every in-flight envelope — and is the oracle the
 // kernel is checked against: TestShardEquivalence requires every shard
-// count, parallelism, and re-partitioning cell of Run to match it bit for
-// bit. It shares nothing with the kernel's delivery path: broadcasts are
+// count and parallelism cell of Run to match it bit for bit. It shares nothing with the kernel's delivery path: broadcasts are
 // captured through Context's send hook, so only the Network's counters,
 // trace, and error helpers are common.
 func runReference(n *Network, maxRounds int) (int, error) {

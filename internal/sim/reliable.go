@@ -203,11 +203,10 @@ func (r *Reliable) Init(ctx *Context) {
 	}
 	// The inner protocol's EmitState (and any shim event emitted while a
 	// shard goroutine is executing this node) is buffered in the owning
-	// shard rather than hitting the shared tracer concurrently; the
-	// context resolves the owner dynamically (Context.shard), so this
-	// long-lived copy stays correct when re-partitioning moves the node.
-	// All other shim state is per-node, so the shim is shard-safe as-is:
-	// only the owning shard touches it.
+	// shard rather than hitting the shared tracer concurrently; a node
+	// keeps its shard for the whole run, so this long-lived copy may
+	// carry it. All other shim state is per-node, so the shim is
+	// shard-safe as-is: only the owning shard touches it.
 	r.innerCtx = Context{net: ctx.net, id: ctx.id, sh: ctx.sh, send: func(m Message) {
 		r.captured = append(r.captured, m)
 	}}

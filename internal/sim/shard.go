@@ -6,11 +6,10 @@ package sim
 // bit-identical results for any shard count and any parallelism. Run in
 // sim.go drives the round loop; this file holds the shard machinery.
 //
-// Partitioning is contiguous: shard s owns the node IDs
-// [starts[s], starts[s+1]). It begins uniform and can be rebalanced
-// between rounds by occupancy-driven re-partitioning (see
-// maybeRepartition). Within a round the kernel runs two phases with a
-// serial merge barrier after each:
+// Partitioning is contiguous and uniform: shard s owns the node IDs
+// [starts[s], starts[s+1]), with starts[s] = s·n/P, fixed for the whole
+// run. Within a round the kernel runs two phases with a serial merge
+// barrier after each:
 //
 //  1. Deliver — each shard routes the previous round's staged broadcasts
 //     into pooled per-node mailboxes for the receivers it owns, then
@@ -47,11 +46,10 @@ package sim
 // observable escapes a shard until the deterministic merge.
 //
 // Fault models are consulted concurrently, one shard instance each (see
-// FaultSharder in fault.go); when the partition moves, per-link fault
-// state moves with the receivers (see FaultRehomer). A one-shard run
-// consults the model itself, unsplit. Per-node protocol state — including
-// the Reliable shim's ack/retransmission bookkeeping — is only ever
-// touched by the owning shard, so protocols need no locking.
+// FaultSharder in fault.go); a one-shard run consults the model itself,
+// unsplit. Per-node protocol state — including the Reliable shim's
+// ack/retransmission bookkeeping — is only ever touched by the owning
+// shard, so protocols need no locking.
 //
 // Delivery cost is O(Σ deg(sender)) routing work per round — each staged
 // copy is routed by binary search over the sender's neighbor list — and
@@ -65,12 +63,6 @@ import (
 
 	"geospanner/internal/obs"
 )
-
-// defaultRepartEvery is the re-partitioning period (in rounds) when
-// WithRepartition was not given. 64 matches the quiescence-snapshot
-// cadence: long enough that the O(n) boundary recomputation is noise,
-// short enough to catch the load migrating as a protocol converges.
-const defaultRepartEvery = 64
 
 // mailboxPool is a per-shard free list of mailbox buffers. Mailboxes are
 // handed out only for receivers that actually get mail this round, so in
@@ -188,17 +180,11 @@ func (sh *shardState) broadcast(c *Context, m Message) {
 }
 
 // deliver consumes the previous round's staged broadcasts addressed to
-// this shard and drains them: receivers in ID order, each mailbox in
-// global send-order. Staged batches are walked in seq order —
-// deliver-phase prefixes of every source shard first, then tick-phase
-// suffixes, source shards ascending — so mailbox append order IS seq
-// order.
-//
-// Columns are indexed under prevStarts, the partition in force when the
-// copies were staged. Normally only column sh.idx concerns this shard;
-// after a re-partition the shard's new range can overlap several old
-// columns, so routing is clamped to each intersection. Every receiver
-// lived in exactly one old column, so per-receiver order is unaffected.
+// this shard — column sh.idx of every source shard's staging — and drains
+// them: receivers in ID order, each mailbox in global send-order. Staged
+// batches are walked in seq order — deliver-phase prefixes of every
+// source shard first, then tick-phase suffixes, source shards ascending —
+// so mailbox append order IS seq order.
 func (sh *shardState) deliver(round int) {
 	start := time.Now()
 	n := sh.net
@@ -217,40 +203,26 @@ func (sh *shardState) deliver(round int) {
 		sh.split[d] = 0
 	}
 
-	if sh.hi > sh.lo {
-		c0 := ownerOf(ex.prevStarts, sh.lo)
-		c1 := ownerOf(ex.prevStarts, sh.hi-1)
-		for pass := 0; pass < 2; pass++ {
-			for s := range ex.shards {
-				src := &ex.shards[s]
-				for c := c0; c <= c1; c++ {
-					// Clamp this shard's range to old column c's range.
-					cl, ch := sh.lo, sh.hi
-					if b := ex.prevStarts[c]; b > cl {
-						cl = b
+	for pass := 0; pass < 2; pass++ {
+		for s := range ex.shards {
+			src := &ex.shards[s]
+			batch := src.prevStage[sh.idx]
+			if pass == 0 {
+				batch = batch[:src.prevSplit[sh.idx]]
+			} else {
+				batch = batch[src.prevSplit[sh.idx]:]
+			}
+			for i := range batch {
+				e := &batch[i]
+				seq := ex.seqOf(s, e.ord)
+				nbrs := g.Neighbors(e.from)
+				j := sort.SearchInts(nbrs, sh.lo)
+				for ; j < len(nbrs) && nbrs[j] < sh.hi; j++ {
+					off := nbrs[j] - sh.lo
+					if sh.mail[off] == nil {
+						sh.mail[off] = sh.pool.get()
 					}
-					if c+1 < len(ex.prevStarts) && ex.prevStarts[c+1] < ch {
-						ch = ex.prevStarts[c+1]
-					}
-					batch := src.prevStage[c]
-					if pass == 0 {
-						batch = batch[:src.prevSplit[c]]
-					} else {
-						batch = batch[src.prevSplit[c]:]
-					}
-					for i := range batch {
-						e := &batch[i]
-						seq := ex.seqOf(s, e.ord)
-						nbrs := g.Neighbors(e.from)
-						j := sort.SearchInts(nbrs, cl)
-						for ; j < len(nbrs) && nbrs[j] < ch; j++ {
-							off := nbrs[j] - sh.lo
-							if sh.mail[off] == nil {
-								sh.mail[off] = sh.pool.get()
-							}
-							sh.mail[off] = append(sh.mail[off], envelope{from: e.from, seq: seq, msg: e.msg})
-						}
-					}
+					sh.mail[off] = append(sh.mail[off], envelope{from: e.from, seq: seq, msg: e.msg})
 				}
 			}
 		}
@@ -280,7 +252,6 @@ func (sh *shardState) deliver(round int) {
 				n.procs[id].Handle(&n.ctxs[id], env.from, env.msg)
 				sh.delivered++
 			}
-			ex.loads[id] += copies
 		}
 		sh.mail[off] = nil
 		sh.pool.put(box)
@@ -312,19 +283,15 @@ func ownerOf(starts []int, v int) int {
 }
 
 // shardExec drives the shard set for one run: the partition, the merged
-// seq bases, the worker pool, and the re-partitioning machinery. All of
-// its fields except loads are written only by the coordinator between
-// phases; loads is sliced by node ownership, so shards write disjoint
-// ranges.
+// seq bases, and the worker pool. All of its fields are written only by
+// the coordinator between phases.
 type shardExec struct {
 	net    *Network
 	shards []shardState
 	pool   *phasePool // nil when phases run inline (parallelism 1)
 
-	// starts is the current partition; prevStarts is the partition under
-	// which the in-flight staged copies (prevStage) were routed. They
-	// differ only in the round immediately after a re-partition.
-	starts, prevStarts []int
+	// starts is the partition: shard s owns [starts[s], starts[s+1]).
+	starts []int
 
 	// Per-shard seq bases of the round being consumed (prev*) and the
 	// round being produced: shard s's deliver-phase broadcast k carries
@@ -333,20 +300,10 @@ type shardExec struct {
 	dCount, dBase, tBase             []int
 	prevDCount, prevDBase, prevTBase []int
 
-	// loads counts delivered Handle copies per node since the last
-	// re-partition — the occupancy signal boundaries are rebalanced on.
-	loads []int
-
 	// inFlight tallies the last merged round's broadcasts by type: after
 	// the final round it is exactly the undelivered traffic a
 	// QuiescenceError reports.
 	inFlight map[string]int
-
-	// canRepart records whether the fault model can migrate its per-link
-	// state when boundaries move (see FaultRehomer); repartEvery is the
-	// rebalancing period in rounds (0 = disabled).
-	canRepart   bool
-	repartEvery int
 }
 
 // end returns the first node ID beyond shard s's range.
@@ -386,20 +343,17 @@ func (n *Network) newShardExec() *shardExec {
 		net:        n,
 		shards:     make([]shardState, p),
 		starts:     make([]int, p),
-		prevStarts: make([]int, p),
 		dCount:     make([]int, p),
 		dBase:      make([]int, p),
 		tBase:      make([]int, p),
 		prevDCount: make([]int, p),
 		prevDBase:  make([]int, p),
 		prevTBase:  make([]int, p),
-		loads:      make([]int, nn),
 		inFlight:   make(map[string]int),
 	}
 	for s := 0; s < p; s++ {
 		ex.starts[s] = s * nn / p
 	}
-	copy(ex.prevStarts, ex.starts)
 	for s := 0; s < p; s++ {
 		lo, hi := ex.starts[s], ex.end(s)
 		sh := &ex.shards[s]
@@ -421,23 +375,6 @@ func (n *Network) newShardExec() *shardExec {
 			n.ctxs[id].sh = sh
 		}
 	}
-	if p == 1 {
-		return ex // nothing to split, move, or rebalance
-	}
-	switch {
-	case n.repartEvery > 0:
-		ex.repartEvery = n.repartEvery
-	case n.repartEvery == 0:
-		ex.repartEvery = defaultRepartEvery
-	}
-	// Re-align any fault state a previous stage left homed under its
-	// final (possibly rebalanced) partition with this run's initial
-	// uniform partition. Cached per-shard instances persist across the
-	// stages of one build (see gilbert.ShardFaults), so without this a
-	// re-partition in stage k would corrupt stage k+1's loss pattern. A
-	// model that cannot rehome also can never have been moved, so the
-	// probe doubles as the re-partitioning capability check.
-	ex.canRepart = rehomeFaults(n.faults, func(v int) int { return ownerOf(ex.starts, v) })
 	return ex
 }
 
@@ -515,87 +452,7 @@ func (ex *shardExec) tickMerge() int {
 	ex.prevDCount, ex.dCount = ex.dCount, ex.prevDCount
 	ex.prevDBase, ex.dBase = ex.dBase, ex.prevDBase
 	ex.prevTBase, ex.tBase = ex.tBase, ex.prevTBase
-	copy(ex.prevStarts, ex.starts)
 	return sent
-}
-
-// maybeRepartition rebalances the contiguous node ranges every
-// repartEvery rounds, driven only by the merged per-node delivery
-// counters — a pure function of deterministic state, so every run (any
-// parallelism) moves the same boundaries at the same rounds. Weights are
-// 1 + delivered copies since the last window, so idle nodes still count:
-// a shard of quiet nodes stays cheap but never collapses to zero width.
-//
-// Only starts moves; prevStarts keeps describing the in-flight staging
-// until the next tick merge, and deliver clamps old columns to new ranges
-// for that one round. Per-link fault state migrates with the receivers.
-func (ex *shardExec) maybeRepartition(round int) {
-	p := len(ex.shards)
-	if p <= 1 || !ex.canRepart || ex.repartEvery <= 0 || round%ex.repartEvery != 0 {
-		return
-	}
-	n := ex.net
-	nn := n.g.N()
-	total := int64(nn)
-	for _, l := range ex.loads {
-		total += int64(l)
-	}
-	// Greedy prefix split: boundary s lands where the running weight
-	// crosses s/p of the total, constrained so every shard keeps at least
-	// one node.
-	newStarts := make([]int, p)
-	acc := int64(0)
-	node := 0
-	for s := 1; s < p; s++ {
-		target := total * int64(s) / int64(p)
-		atLeast := newStarts[s-1] + 1 // shard s-1 keeps ≥ 1 node
-		atMost := nn - (p - s)        // every later shard keeps ≥ 1 node
-		for node < atLeast || (acc < target && node < atMost) {
-			acc += int64(1 + ex.loads[node])
-			node++
-		}
-		newStarts[s] = node
-	}
-	changed := false
-	for s := range newStarts {
-		if newStarts[s] != ex.starts[s] {
-			changed = true
-			break
-		}
-	}
-	// The observation window resets whether or not boundaries moved, so
-	// the signal is always "load since the last decision".
-	for i := range ex.loads {
-		ex.loads[i] = 0
-	}
-	if !changed {
-		return
-	}
-	copy(ex.starts, newStarts)
-	for s := 0; s < p; s++ {
-		sh := &ex.shards[s]
-		sh.lo, sh.hi = ex.starts[s], ex.end(s)
-		// Mailbox slots are nil whenever the kernel is between rounds
-		// (deliver nils every drained slot), so resizing the window by
-		// reslicing re-exposes only nil slots; reallocate when widening
-		// past the backing array.
-		if w := sh.hi - sh.lo; w <= cap(sh.mail) {
-			sh.mail = sh.mail[:w]
-		} else {
-			sh.mail = make([][]envelope, w)
-		}
-		for id := sh.lo; id < sh.hi; id++ {
-			n.ctxs[id].sh = sh
-		}
-	}
-	rehomeFaults(n.faults, func(v int) int { return ownerOf(ex.starts, v) })
-	if n.tracer != nil {
-		for s := 0; s < p; s++ {
-			sh := &ex.shards[s]
-			n.tracer.Emit(obs.Event{Kind: obs.KindRepartition, Stage: n.stage, Round: round,
-				From: sh.idx, To: sh.lo, N: sh.hi - sh.lo})
-		}
-	}
 }
 
 // emitShardMetrics reports each shard's load and pool behavior through the

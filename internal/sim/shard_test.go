@@ -12,35 +12,6 @@ import (
 	"geospanner/internal/obs"
 )
 
-// skewProto concentrates traffic in the nodes marked hot: each hot node
-// broadcasts every round for a fixed stretch, so contiguous uniform
-// shards see a 4:1 (or worse) load imbalance the re-partitioner must fix.
-type skewProto struct {
-	hot    bool
-	rounds int
-}
-
-type skewMsg struct{}
-
-func (skewMsg) Type() string { return "skew" }
-
-func (p *skewProto) Init(ctx *Context) {
-	if p.hot {
-		ctx.Broadcast(skewMsg{})
-	}
-}
-
-func (p *skewProto) Handle(ctx *Context, from int, m Message) {}
-
-func (p *skewProto) Tick(ctx *Context, round int) {
-	if p.hot && p.rounds < 40 {
-		p.rounds++
-		ctx.Broadcast(skewMsg{})
-	}
-}
-
-func (p *skewProto) Done() bool { return !p.hot || p.rounds >= 40 }
-
 // gridGraph builds a k×k grid UDG (radius just over 1), a connected,
 // moderately dense topology with nodes of unequal degree — corner nodes
 // have 2 neighbors, interior nodes 4 — so shard boundaries cut real edges.
@@ -200,8 +171,7 @@ func diffRuns(t *testing.T, label string, want, got echoRun) {
 // reference loop (runReference): same counters, same round trace, same
 // per-receiver delivery order, same protocol event stream, same wedge
 // diagnostics — for the default run and for every shard count and phase
-// parallelism, with and without faults, the Reliable shim, and forced
-// occupancy-driven re-partitioning.
+// parallelism, with and without faults and the Reliable shim.
 func TestShardEquivalence(t *testing.T) {
 	// Options are factories: Gilbert (and any stateful model) must be
 	// constructed fresh per run, or earlier runs' chain state leaks into
@@ -248,81 +218,8 @@ func TestShardEquivalence(t *testing.T) {
 					}
 					diffRuns(t, fmt.Sprintf("p=%d/par=%d", p, k), seq, got)
 				}
-				// Re-partition every other round, in parallel: boundaries
-				// move mid-flight (staged copies cross old→new ranges) and
-				// per-link fault state migrates — still bit-identical.
-				opts := append(tc.opts(), WithShards(p), WithParallelism(2), WithRepartition(2))
-				diffRuns(t, fmt.Sprintf("p=%d/repart=2", p), seq, runEcho(t, 6, opts...))
 			}
 		})
-	}
-}
-
-// TestShardRepartitionMoves pins the re-partitioning machinery itself: a
-// deliberately skewed load (only the top quarter of the ID space chatters)
-// must move the uniform boundaries toward the hot range, emit one
-// obs.KindRepartition event per shard covering the whole ID space, and
-// still finish bit-identical to the sequential reference.
-func TestShardRepartitionMoves(t *testing.T) {
-	const n, shards = 64, 4
-	mk := func(opts ...Option) (*Network, *obs.Ring) {
-		ring := obs.NewRing(1 << 20)
-		g := pathGraph(n)
-		net := NewNetwork(g, func(id int) Protocol {
-			return &skewProto{hot: id >= 3*n/4}
-		}, append(opts, WithTracer(ring))...)
-		return net, ring
-	}
-	seqNet, _ := mk()
-	if _, err := runReference(seqNet, 0); err != nil {
-		t.Fatal(err)
-	}
-	net, ring := mk(WithShards(shards), WithParallelism(2), WithRepartition(4))
-	if _, err := net.Run(0); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(seqNet.SentAll(), net.SentAll()) {
-		t.Fatal("skewed repartitioned run diverges from the reference counters")
-	}
-	var reparts []obs.Event
-	for _, e := range ring.Events() {
-		if e.Kind == obs.KindRepartition {
-			reparts = append(reparts, e)
-		}
-	}
-	if len(reparts) == 0 {
-		t.Fatal("no repartition events despite skewed load and period 4")
-	}
-	if len(reparts)%shards != 0 {
-		t.Fatalf("%d repartition events, want a multiple of %d", len(reparts), shards)
-	}
-	// Each batch of `shards` events describes one complete new partition.
-	moved := false
-	for i := 0; i < len(reparts); i += shards {
-		nodes := 0
-		for s := 0; s < shards; s++ {
-			e := reparts[i+s]
-			if e.From != s {
-				t.Fatalf("repartition event %d has From=%d, want shard %d", i+s, e.From, s)
-			}
-			nodes += e.N
-			if e.N != n/shards {
-				moved = true
-			}
-		}
-		if nodes != n {
-			t.Fatalf("repartition batch covers %d nodes, want %d", nodes, n)
-		}
-	}
-	if !moved {
-		t.Fatal("boundaries never left the uniform split despite 4:1 load skew")
-	}
-	// The hot quarter must end up spread over more than one shard: the
-	// last batch's final shard should own fewer nodes than uniform.
-	last := reparts[len(reparts)-shards:]
-	if last[shards-1].N >= n/shards {
-		t.Fatalf("hottest shard still owns %d nodes after rebalance (uniform is %d)",
-			last[shards-1].N, n/shards)
 	}
 }
 

@@ -160,27 +160,15 @@ type DropFunc func(round, from, to int, m Message) bool
 // When send is non-nil, Broadcast is redirected to it instead of the
 // radio — the hook the Reliable shim uses to capture an inner protocol's
 // sends and carry them as payloads inside its own envelopes. During Run
-// every node belongs to a shard of the kernel (see shard.go), and
-// everything observable — broadcasts, trace events — is buffered in the
-// owning shard and merged deterministically at the phase barrier.
+// every node belongs to one shard of the kernel for the whole run (see
+// shard.go), and everything observable — broadcasts, trace events — is
+// buffered in that shard and merged deterministically at the phase
+// barrier.
 type Context struct {
 	net  *Network
 	id   int
 	send func(m Message)
-	sh   *shardState
-}
-
-// shard returns the node's current owning shard (nil outside Run). The
-// canonical Contexts in net.ctxs carry the live assignment; copies a
-// protocol cached (the Reliable shim's inner context) must not trust
-// their embedded sh — re-partitioning can move the node to another
-// shard after the copy was made, and buffering into the old shard would
-// both reorder the merged event stream and race with its owner.
-func (c *Context) shard() *shardState {
-	if c.net == nil || len(c.net.ctxs) <= c.id {
-		return c.sh
-	}
-	return c.net.ctxs[c.id].sh
+	sh   *shardState // the owning shard; nil outside Run
 }
 
 // ID returns the node's identifier (its index in the underlying graph).
@@ -206,7 +194,7 @@ func (c *Context) Broadcast(m Message) {
 		c.send(m)
 		return
 	}
-	c.shard().broadcast(c, m)
+	c.sh.broadcast(c, m)
 }
 
 // EmitState records a protocol state transition (the node reaching the
@@ -230,8 +218,8 @@ func (c *Context) emit(e obs.Event) {
 	if c.net == nil || c.net.tracer == nil {
 		return
 	}
-	if sh := c.shard(); sh != nil {
-		sh.events = append(sh.events, e)
+	if c.sh != nil {
+		c.sh.events = append(c.sh.events, e)
 		return
 	}
 	c.net.tracer.Emit(e)
@@ -274,9 +262,6 @@ type Network struct {
 	shardsOn int // shards the last Run used
 	par      int // requested worker parallelism; <= 0 = GOMAXPROCS
 	parOn    int // workers the last Run used
-	// repartEvery is the occupancy-driven re-partitioning period in
-	// rounds: 0 selects the default, negative disables re-partitioning.
-	repartEvery int
 }
 
 // Option configures a Network.
@@ -325,9 +310,10 @@ func WithContext(ctx context.Context) Option {
 }
 
 // WithShards runs the network on p shards: nodes are partitioned into p
-// contiguous ID ranges, each round's deliveries and Ticks run
-// concurrently across the shards, and shard-local staging, counters, and
-// trace events are merged deterministically at the phase barriers.
+// uniform contiguous ID ranges, fixed for the whole run, each round's
+// deliveries and Ticks run concurrently across the shards, and
+// shard-local staging, counters, and trace events are merged
+// deterministically at the phase barriers.
 // Results — the computed protocol state, message counters, round counts,
 // and the protocol-level trace event stream — are bit-identical for any
 // p (see DESIGN.md §12). p is clamped to the node count; p <= 0 (the
@@ -348,24 +334,6 @@ func WithShards(p int) Option {
 // one-shard run.
 func WithParallelism(k int) Option {
 	return func(n *Network) { n.par = k }
-}
-
-// WithRepartition sets the kernel's occupancy-driven
-// re-partitioning period: every `every` rounds the contiguous node ranges
-// are rebalanced from the merged per-node delivery counters, so shard
-// boundaries follow the protocol's active region. every <= 0 disables
-// re-partitioning; without this option a default period applies.
-// Re-partitioning is deterministic (a pure function of deterministic
-// counters) and invisible to results and protocol-level traces; it is
-// skipped when the fault model cannot migrate its per-link state (see
-// FaultRehomer).
-func WithRepartition(every int) Option {
-	return func(n *Network) {
-		if every <= 0 {
-			every = -1
-		}
-		n.repartEvery = every
-	}
 }
 
 // WithReliability wraps every protocol in the Reliable ack/retransmission
@@ -490,8 +458,6 @@ func (n *Network) Run(maxRounds int) (int, error) {
 			n.tracer.Emit(obs.Event{Kind: obs.KindQuiesceWait, Stage: n.stage, Round: round,
 				From: obs.NoNode, To: obs.NoNode, N: notDone, Sent: sent})
 		}
-
-		ex.maybeRepartition(round)
 	}
 	// ex.inFlight holds the final round's broadcasts by type: the
 	// undelivered traffic.

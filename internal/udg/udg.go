@@ -12,7 +12,6 @@ import (
 
 	"geospanner/internal/geom"
 	"geospanner/internal/graph"
-	"geospanner/internal/quadtree"
 )
 
 // ErrDisconnected is returned by ConnectedInstance when no connected
@@ -93,24 +92,4 @@ func ConnectedInstance(seed int64, n int, region, radius float64, maxTries int) 
 	}
 	return nil, fmt.Errorf("%w after %d tries (n=%d region=%g radius=%g)",
 		ErrDisconnected, maxTries, n, region, radius)
-}
-
-// BuildQuadtree returns the same unit disk graph as Build, using a
-// quadtree range query per node instead of the uniform grid. It is the
-// better index for strongly non-uniform deployments (see
-// internal/quadtree); for the paper's uniform instances the grid wins.
-func BuildQuadtree(pts []geom.Point, radius float64) *graph.Graph {
-	g := graph.New(pts)
-	if len(pts) == 0 || radius <= 0 {
-		return g
-	}
-	tree := quadtree.New(pts, 0)
-	for i, p := range pts {
-		for _, j := range tree.RangeCircle(p, radius) {
-			if j > i {
-				g.AddEdge(i, j)
-			}
-		}
-	}
-	return g
 }

@@ -40,6 +40,27 @@ func TestBuildMatchesBruteForce(t *testing.T) {
 	}
 }
 
+// TestBuildClusteredMatchesBruteForce checks the grid-indexed Build on
+// clustered placements: many points per grid cell, many empty cells.
+func TestBuildClusteredMatchesBruteForce(t *testing.T) {
+	r := rand.New(rand.NewSource(55))
+	for trial := 0; trial < 5; trial++ {
+		pts, err := GeneratePoints(r, Clustered, 200, 200)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fast, slow := Build(pts, 30), BuildBruteForce(pts, 30)
+		if fast.NumEdges() != slow.NumEdges() {
+			t.Fatalf("clustered trial %d: fast %d edges, brute %d", trial, fast.NumEdges(), slow.NumEdges())
+		}
+		for _, e := range slow.Edges() {
+			if !fast.HasEdge(e.U, e.V) {
+				t.Fatalf("clustered trial %d: grid index missed edge %v", trial, e)
+			}
+		}
+	}
+}
+
 func TestBuildEmptyAndZeroRadius(t *testing.T) {
 	if g := Build(nil, 1); g.N() != 0 {
 		t.Fatal("empty input should give empty graph")
@@ -132,36 +153,5 @@ func TestBoundaryDistanceExact(t *testing.T) {
 	beyond := []geom.Point{geom.Pt(0, 0), geom.Pt(math.Nextafter(60, 61), 0)}
 	if Build(beyond, 60).HasEdge(0, 1) {
 		t.Fatal("one-ulp-beyond pair must not be linked")
-	}
-}
-
-func TestBuildQuadtreeMatchesGrid(t *testing.T) {
-	r := rand.New(rand.NewSource(55))
-	for trial := 0; trial < 10; trial++ {
-		n := 2 + r.Intn(150)
-		pts := RandomPoints(r, n, 200)
-		radius := 20 + r.Float64()*80
-		a := Build(pts, radius)
-		b := BuildQuadtree(pts, radius)
-		if a.NumEdges() != b.NumEdges() {
-			t.Fatalf("trial %d: grid %d edges, quadtree %d", trial, a.NumEdges(), b.NumEdges())
-		}
-		for _, e := range a.Edges() {
-			if !b.HasEdge(e.U, e.V) {
-				t.Fatalf("trial %d: quadtree missed edge %v", trial, e)
-			}
-		}
-	}
-	// Clustered placement, where the quadtree is designed to shine.
-	for trial := 0; trial < 5; trial++ {
-		pts, err := GeneratePoints(r, Clustered, 200, 200)
-		if err != nil {
-			t.Fatal(err)
-		}
-		a := Build(pts, 30)
-		b := BuildQuadtree(pts, 30)
-		if a.NumEdges() != b.NumEdges() {
-			t.Fatalf("clustered trial %d: edge counts differ", trial)
-		}
 	}
 }

@@ -161,9 +161,6 @@ func timeline(out io.Writer, events []obs.Event) {
 			}
 			fmt.Fprintf(out, "  shard %d: nodes=%d work=%.2fms pool_hit=%.0f%%\n",
 				e.From, e.N, float64(e.WallNS)/1e6, hitRate*100)
-		case obs.KindRepartition:
-			fmt.Fprintf(out, "  repartition after round %d: shard %d -> nodes [%d,%d)\n",
-				e.Round, e.From, e.To, e.To+e.N)
 		case obs.KindQuiesceWait:
 			fmt.Fprintf(out, "  waiting at round %d: %d in flight\n", e.Round, e.N)
 		case obs.KindEpoch:
