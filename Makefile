@@ -9,7 +9,7 @@ GO ?= go
 DATE := $(shell date +%F)
 FUZZTIME ?= 10s
 
-.PHONY: check fmt vet lint build test race race-shard fuzz bench bench-smoke trace-smoke chaos-smoke serve-smoke wal-smoke wal-soak wal-soak-long examples-smoke clean
+.PHONY: check fmt vet lint build test race race-shard fuzz bench bench-smoke trace-smoke chaos-smoke serve-smoke wal-smoke wal-soak wal-soak-long examples-smoke loc clean
 
 check: fmt lint build test race
 
@@ -165,6 +165,11 @@ examples-smoke:
 		fi; \
 	done; \
 	rm -rf "$$tmp"
+
+# loc prints the non-test Go line count (the benchmark module excluded),
+# the size figure CHANGES.md tracks from change to change.
+loc:
+	@git ls-files '*.go' | grep -v _test.go | grep -v spanbench | xargs wc -l | tail -1
 
 clean:
 	$(GO) clean ./...

@@ -390,16 +390,6 @@ func BenchmarkMaintainFailRecover(b *testing.B) {
 	}
 }
 
-func BenchmarkAsyncClustering(b *testing.B) {
-	inst := benchInstance(b, 17, 100, 60)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := cluster.RunAsync(inst.UDG, int64(i), 5); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkRouteDiscovery(b *testing.B) {
 	inst := benchInstance(b, 19, 150, 60)
 	res, err := core.BuildCentralized(inst.UDG, inst.Radius)

@@ -86,18 +86,6 @@ type Result struct {
 // IsDominator reports whether node v is a dominator.
 func (r *Result) IsDominator(v int) bool { return r.Status[v] == Dominator }
 
-// nodeCtx is the interface the clustering logic needs from either
-// simulator (synchronous rounds or asynchronous events). Both sim.Context
-// and sim.AsyncContext satisfy it, which lets the identical state machine
-// run under both schedulers — the lowest-ID MIS protocol's outcome is
-// timing-independent, and tests verify it.
-type nodeCtx interface {
-	ID() int
-	Neighbors() []int
-	Broadcast(m sim.Message)
-	EmitState(state string)
-}
-
 // node is the per-node protocol state machine.
 type node struct {
 	status     Status
@@ -107,7 +95,10 @@ type node struct {
 	neighbors  map[int]bool
 }
 
-func (n *node) init(ctx nodeCtx) {
+var _ sim.Protocol = (*node)(nil)
+
+// Init implements sim.Protocol.
+func (n *node) Init(ctx *sim.Context) {
 	n.white = make(map[int]bool)
 	n.neighbors = make(map[int]bool)
 	n.dominators = make(map[int]bool)
@@ -121,7 +112,7 @@ func (n *node) init(ctx nodeCtx) {
 
 // tryClaim claims dominator status when the node is white and has the
 // smallest ID among its white neighbors.
-func (n *node) tryClaim(ctx nodeCtx) {
+func (n *node) tryClaim(ctx *sim.Context) {
 	if n.status != White {
 		return
 	}
@@ -135,7 +126,8 @@ func (n *node) tryClaim(ctx nodeCtx) {
 	ctx.Broadcast(MsgIamDominator{})
 }
 
-func (n *node) handle(ctx nodeCtx, from int, m sim.Message) {
+// Handle implements sim.Protocol.
+func (n *node) Handle(ctx *sim.Context, from int, m sim.Message) {
 	switch msg := m.(type) {
 	case MsgIamDominator:
 		delete(n.white, from)
@@ -158,32 +150,18 @@ func (n *node) handle(ctx nodeCtx, from int, m sim.Message) {
 	}
 }
 
-func (n *node) done() bool { return n.status != White }
+// Tick implements sim.Protocol. The election is purely event-driven: a
+// node acts only on what it hears, so its outcome does not depend on
+// message timing (TestRunAsyncMatchesSync delays every message).
+func (n *node) Tick(ctx *sim.Context, round int) {}
 
-// syncNode adapts node to the synchronous simulator.
-type syncNode struct{ node }
+// Done implements sim.Protocol.
+func (n *node) Done() bool { return n.status != White }
 
-var _ sim.Protocol = (*syncNode)(nil)
-
-func (n *syncNode) Init(ctx *sim.Context)                            { n.init(ctx) }
-func (n *syncNode) Handle(ctx *sim.Context, from int, m sim.Message) { n.handle(ctx, from, m) }
-func (n *syncNode) Tick(ctx *sim.Context, round int)                 {}
-func (n *syncNode) Done() bool                                       { return n.done() }
-
-// asyncNode adapts node to the asynchronous simulator.
-type asyncNode struct{ node }
-
-var _ sim.AsyncProtocol = (*asyncNode)(nil)
-
-func (n *asyncNode) Init(ctx *sim.AsyncContext)                            { n.init(ctx) }
-func (n *asyncNode) Handle(ctx *sim.AsyncContext, from int, m sim.Message) { n.handle(ctx, from, m) }
-func (n *asyncNode) Done() bool                                            { return n.done() }
-
-// NewProtocol returns a fresh synchronous clustering protocol instance for
-// callers composing their own sim.Network (failure-injection tests, custom
-// schedulers). Results are extracted by running the network through Run in
-// normal use.
-func NewProtocol() sim.Protocol { return &syncNode{} }
+// NewProtocol returns a fresh clustering protocol instance for callers
+// composing their own sim.Network (failure-injection tests). Results are
+// extracted by running the network through Run in normal use.
+func NewProtocol() sim.Protocol { return &node{} }
 
 // Run executes the distributed clustering protocol on the unit disk graph g
 // and returns the clustering plus the network (for message accounting).
@@ -191,26 +169,31 @@ func NewProtocol() sim.Protocol { return &syncNode{} }
 // models, the Reliable shim) pass through to the network.
 func Run(g *graph.Graph, maxRounds int, opts ...sim.Option) (*Result, *sim.Network, error) {
 	opts = append([]sim.Option{sim.WithStage(Stage)}, opts...)
-	net := sim.NewNetwork(g, func(id int) sim.Protocol { return &syncNode{} }, opts...)
+	net := sim.NewNetwork(g, func(id int) sim.Protocol { return &node{} }, opts...)
 	if _, err := net.Run(maxRounds); err != nil {
 		// The network is returned alongside the error so degraded-mode
 		// callers can still account the messages a failed stage sent and
 		// read its per-node shim counters.
 		return nil, net, fmt.Errorf("clustering: %w", err)
 	}
-	res := &Result{
-		Status:           make([]Status, g.N()),
-		DominatorsOf:     make([][]int, g.N()),
-		TwoHopDominators: make([][]int, g.N()),
-	}
+	res := newResult(g.N())
 	for id := 0; id < g.N(); id++ {
-		p, ok := net.Protocol(id).(*syncNode)
+		p, ok := net.Protocol(id).(*node)
 		if !ok {
 			return nil, nil, fmt.Errorf("clustering: unexpected protocol type at node %d", id)
 		}
-		res.fill(id, &p.node)
+		res.fill(id, p)
 	}
 	return res, net, nil
+}
+
+// newResult returns an empty Result for n nodes.
+func newResult(n int) *Result {
+	return &Result{
+		Status:           make([]Status, n),
+		DominatorsOf:     make([][]int, n),
+		TwoHopDominators: make([][]int, n),
+	}
 }
 
 // fill records node id's final protocol state into the result.
@@ -221,32 +204,6 @@ func (r *Result) fill(id int, n *node) {
 	}
 	r.DominatorsOf[id] = sortedKeys(n.dominators)
 	r.TwoHopDominators[id] = sortedKeys(n.twoHop)
-}
-
-// RunAsync executes the clustering protocol on the asynchronous simulator
-// with randomized (seeded) per-message delays of up to maxDelay time
-// units. The lowest-ID MIS outcome is independent of message timing, so
-// RunAsync returns the same Result as Run — a property the tests assert
-// across many delay schedules.
-func RunAsync(g *graph.Graph, seed int64, maxDelay int, opts ...sim.AsyncOption) (*Result, *sim.AsyncNetwork, error) {
-	opts = append([]sim.AsyncOption{sim.WithAsyncStage(Stage)}, opts...)
-	net := sim.NewAsyncNetwork(g, seed, maxDelay, func(id int) sim.AsyncProtocol { return &asyncNode{} }, opts...)
-	if _, _, err := net.Run(0); err != nil {
-		return nil, nil, fmt.Errorf("async clustering: %w", err)
-	}
-	res := &Result{
-		Status:           make([]Status, g.N()),
-		DominatorsOf:     make([][]int, g.N()),
-		TwoHopDominators: make([][]int, g.N()),
-	}
-	for id := 0; id < g.N(); id++ {
-		p, ok := net.Protocol(id).(*asyncNode)
-		if !ok {
-			return nil, nil, fmt.Errorf("async clustering: unexpected protocol type at node %d", id)
-		}
-		res.fill(id, &p.node)
-	}
-	return res, net, nil
 }
 
 // Centralized computes the same clustering as Run without message passing:
@@ -276,11 +233,7 @@ func Centralized(g *graph.Graph) *Result {
 // alive graph, dead nodes isolated) all call it.
 func Derive(g *graph.Graph, isDom []bool) *Result {
 	n := g.N()
-	res := &Result{
-		Status:           make([]Status, n),
-		DominatorsOf:     make([][]int, n),
-		TwoHopDominators: make([][]int, n),
-	}
+	res := newResult(n)
 	for v := 0; v < n; v++ {
 		if isDom[v] {
 			res.Status[v] = Dominator

@@ -3,6 +3,7 @@ package cluster
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"geospanner/internal/graph"
 	"geospanner/internal/sim"
@@ -35,7 +36,8 @@ type MsgWeight struct {
 func (MsgWeight) Type() string { return "Weight" }
 
 // weightedNode runs the generic-weight clustering election. It reuses the
-// base node bookkeeping for dominators and two-hop dominators.
+// base node bookkeeping for dominators and two-hop dominators, and the
+// base node's Tick and Done.
 type weightedNode struct {
 	node
 	weight    float64
@@ -100,20 +102,26 @@ func (n *weightedNode) Handle(ctx *sim.Context, from int, m sim.Message) {
 	}
 }
 
-func (n *weightedNode) Tick(ctx *sim.Context, round int) {}
-func (n *weightedNode) Done() bool                       { return n.status != White }
+// checkWeights rejects a weight vector that is not one number per node:
+// rankBeats is a strict order only without NaN.
+func checkWeights(g *graph.Graph, weights []float64) error {
+	if len(weights) != g.N() {
+		return fmt.Errorf("clustering: %d weights for %d nodes", len(weights), g.N())
+	}
+	for _, w := range weights {
+		if math.IsNaN(w) {
+			return fmt.Errorf("clustering: NaN weight")
+		}
+	}
+	return nil
+}
 
 // RunWeighted executes the generic-weight clustering election. weights
 // must have one entry per node; higher weight wins, ties break to the
 // smaller ID. DegreeWeights(g) gives the highest-degree criterion.
 func RunWeighted(g *graph.Graph, weights []float64, maxRounds int) (*Result, *sim.Network, error) {
-	if len(weights) != g.N() {
-		return nil, nil, fmt.Errorf("clustering: %d weights for %d nodes", len(weights), g.N())
-	}
-	for _, w := range weights {
-		if math.IsNaN(w) {
-			return nil, nil, fmt.Errorf("clustering: NaN weight")
-		}
+	if err := checkWeights(g, weights); err != nil {
+		return nil, nil, err
 	}
 	net := sim.NewNetwork(g, func(id int) sim.Protocol {
 		return &weightedNode{weight: weights[id]}
@@ -121,11 +129,7 @@ func RunWeighted(g *graph.Graph, weights []float64, maxRounds int) (*Result, *si
 	if _, err := net.Run(maxRounds); err != nil {
 		return nil, nil, fmt.Errorf("weighted clustering: %w", err)
 	}
-	res := &Result{
-		Status:           make([]Status, g.N()),
-		DominatorsOf:     make([][]int, g.N()),
-		TwoHopDominators: make([][]int, g.N()),
-	}
+	res := newResult(g.N())
 	for id := 0; id < g.N(); id++ {
 		p, ok := net.Protocol(id).(*weightedNode)
 		if !ok {
@@ -140,8 +144,8 @@ func RunWeighted(g *graph.Graph, weights []float64, maxRounds int) (*Result, *si
 // message passing: process nodes in rank order; a node becomes a dominator
 // iff no higher-ranked neighbor already is. Derive adds the bookkeeping.
 func CentralizedWeighted(g *graph.Graph, weights []float64) (*Result, error) {
-	if len(weights) != g.N() {
-		return nil, fmt.Errorf("clustering: %d weights for %d nodes", len(weights), g.N())
+	if err := checkWeights(g, weights); err != nil {
+		return nil, err
 	}
 	n := g.N()
 	order := make([]int, n)
@@ -149,11 +153,15 @@ func CentralizedWeighted(g *graph.Graph, weights []float64) (*Result, error) {
 		order[i] = i
 	}
 	// Sort by rank: higher weight first, then smaller ID.
-	for i := 1; i < n; i++ {
-		for j := i; j > 0 && rankBeats(weights[order[j]], order[j], weights[order[j-1]], order[j-1]); j-- {
-			order[j], order[j-1] = order[j-1], order[j]
+	slices.SortFunc(order, func(a, b int) int {
+		switch {
+		case a == b:
+			return 0
+		case rankBeats(weights[a], a, weights[b], b):
+			return -1
 		}
-	}
+		return 1
+	})
 	isDom := make([]bool, n)
 	for _, v := range order {
 		isDom[v] = true

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
@@ -85,6 +86,14 @@ func TestRunWeightedValidation(t *testing.T) {
 	}
 	if _, err := CentralizedWeighted(inst.UDG, nil); err == nil {
 		t.Fatal("nil weights accepted")
+	}
+	nan := DegreeWeights(inst.UDG)
+	nan[3] = math.NaN()
+	if _, _, err := RunWeighted(inst.UDG, nan, 0); err == nil {
+		t.Fatal("RunWeighted accepted a NaN weight")
+	}
+	if _, err := CentralizedWeighted(inst.UDG, nan); err == nil {
+		t.Fatal("CentralizedWeighted accepted a NaN weight")
 	}
 }
 

@@ -215,9 +215,9 @@ type BuildConfig struct {
 	// zero cost.
 	Tracer obs.Tracer
 	// Faults is the fault model of every stage's channel (WithFaults). It
-	// is held here, not pre-baked into SimOpts, so the partial-results
-	// build can introspect its crash schedule and remap it onto
-	// per-component subnetworks.
+	// is held here, not pre-baked into simulator options, so the
+	// partial-results build can introspect its crash schedule and remap it
+	// onto per-component subnetworks.
 	Faults sim.FaultModel
 	// Reliability, when non-nil, wraps every stage's protocols in the
 	// Reliable shim (WithReliability).
@@ -239,8 +239,6 @@ type BuildConfig struct {
 	// lets the kernel pick GOMAXPROCS. It has no effect unless
 	// Shards > 1.
 	Parallel int
-	// SimOpts are raw options passed through to every stage's network.
-	SimOpts []sim.Option
 }
 
 // BuildOption configures Build.
@@ -274,11 +272,6 @@ func WithWorkers(w int) BuildOption {
 // WithTracer attaches an observability sink to every stage of the build.
 func WithTracer(t obs.Tracer) BuildOption {
 	return func(c *BuildConfig) { c.Tracer = t }
-}
-
-// WithSim appends raw simulator options, passed through to every stage.
-func WithSim(opts ...sim.Option) BuildOption {
-	return func(c *BuildConfig) { c.SimOpts = append(c.SimOpts, opts...) }
 }
 
 // WithFaults runs every stage on a faulty channel (sim.WithFaults). The
@@ -364,7 +357,7 @@ func (c *BuildConfig) resolveContext() (context.Context, context.CancelFunc) {
 
 // simOptions assembles the per-stage simulator option list.
 func (c *BuildConfig) simOptions() []sim.Option {
-	opts := c.SimOpts[:len(c.SimOpts):len(c.SimOpts)]
+	var opts []sim.Option
 	if c.Faults != nil {
 		opts = append(opts, sim.WithFaults(c.Faults))
 	}
@@ -386,8 +379,7 @@ func (c *BuildConfig) simOptions() []sim.Option {
 // Build runs the full distributed pipeline on the unit disk graph g with
 // the given transmission radius. Options bound the round budget
 // (WithMaxRounds), inject faults and loss tolerance (WithFaults,
-// WithReliability), attach observability (WithTracer), or pass raw
-// simulator options through to every stage (WithSim):
+// WithReliability), or attach observability (WithTracer):
 // Build(g, r, WithReliability(...), WithFaults(...)) runs the whole
 // construction loss-tolerantly on a faulty channel and — under any fault
 // model that delivers each message eventually — produces output graphs

@@ -10,6 +10,16 @@ import (
 	"geospanner/internal/udg"
 )
 
+// linkCut is a fault model that loses every transmission from -> to.
+type linkCut struct{ from, to int }
+
+func (c linkCut) Copies(round, from, to, seq int, m sim.Message) int {
+	if from == c.from && to == c.to {
+		return 0
+	}
+	return 1
+}
+
 // TestClusteringDetectsMessageLoss: the protocols assume reliable local
 // broadcast (as the paper does). With a lossy link the clustering protocol
 // must not silently mis-cluster — the simulator detects the resulting
@@ -19,10 +29,8 @@ func TestClusteringDetectsMessageLoss(t *testing.T) {
 	// node 0 (its smallest white neighbor) indefinitely.
 	pts := []geom.Point{geom.Pt(0, 0), geom.Pt(1, 0), geom.Pt(2, 0)}
 	g := udg.Build(pts, 1)
-	lossy := sim.WithDrop(func(round, from, to int, m sim.Message) bool {
-		return from == 0 && to == 1
-	})
-	net := sim.NewNetwork(g, func(id int) sim.Protocol { return cluster.NewProtocol() }, lossy)
+	net := sim.NewNetwork(g, func(id int) sim.Protocol { return cluster.NewProtocol() },
+		sim.WithFaults(linkCut{from: 0, to: 1}))
 	_, err := net.Run(40)
 	if !errors.Is(err, sim.ErrNotQuiescent) {
 		t.Fatalf("err = %v, want ErrNotQuiescent (white node undetected)", err)

@@ -281,11 +281,11 @@ func buildPartial(g *graph.Graph, radius float64, cfg BuildConfig, ctx context.C
 }
 
 // componentSimOptions assembles the simulator option list of one
-// component's stages: the caller's raw options, the fault model translated
-// back to global IDs, the Reliable shim, the tracer with events remapped
-// to global node IDs, and the cancellation context.
+// component's stages: the fault model translated back to global IDs, the
+// Reliable shim, the tracer with events remapped to global node IDs, and
+// the cancellation context.
 func (c *BuildConfig) componentSimOptions(ctx context.Context, members []int) []sim.Option {
-	opts := c.SimOpts[:len(c.SimOpts):len(c.SimOpts)]
+	var opts []sim.Option
 	if c.Faults != nil {
 		opts = append(opts, sim.WithFaults(sim.RemapFaults(c.Faults, members)))
 	}

@@ -256,27 +256,37 @@ func TestShardPartialBuild(t *testing.T) {
 	}
 }
 
-// TestShardDropFuncBuild: a DropFunc closure cannot be split across
-// shards, so a lossy build asking for four shards runs every stage on one
-// and equals the WithShards(1) build — result, ledgers, and trace.
-func TestShardDropFuncBuild(t *testing.T) {
-	drop := sim.FromDrop(func(round, from, to int, m sim.Message) bool {
-		return (round*7919+from*31+to)%5 == 0
-	})
+// hashLoss loses a fixed pseudo-random fifth of the deliveries. It
+// implements only Copies — no ShardFaults — so the kernel cannot split it
+// across shards.
+type hashLoss struct{}
+
+func (hashLoss) Copies(round, from, to, seq int, m sim.Message) int {
+	if (round*7919+from*31+to)%5 == 0 {
+		return 0
+	}
+	return 1
+}
+
+// TestShardUnshardableFaultsBuild: a fault model without ShardFaults
+// cannot be split across shards, so a lossy build asking for four shards
+// runs every stage on one and equals the WithShards(1) build — result,
+// ledgers, and trace.
+func TestShardUnshardableFaultsBuild(t *testing.T) {
 	build := func(p int) (*Result, string, []byte) {
-		return tracedBuild(t, 21, 40, WithFaults(drop), WithReliability(sim.ReliableConfig{}),
+		return tracedBuild(t, 21, 40, WithFaults(hashLoss{}), WithReliability(sim.ReliableConfig{}),
 			WithMaxRounds(3000), WithShards(p))
 	}
 	wantRes, wantErr, wantTrace := build(1)
 	if wantRes == nil {
-		t.Fatalf("one-shard DropFunc build failed: %s", wantErr)
+		t.Fatalf("one-shard unshardable-faults build failed: %s", wantErr)
 	}
 	gotRes, gotErr, gotTrace := build(4)
 	if gotErr != wantErr {
 		t.Fatalf("err = %q, want %q", gotErr, wantErr)
 	}
-	sameResult(t, "shards=4+DropFunc", wantRes, gotRes)
+	sameResult(t, "shards=4+unshardable", wantRes, gotRes)
 	if !bytes.Equal(gotTrace, wantTrace) {
-		t.Fatal("shards=4+DropFunc: trace diverges from the WithShards(1) build")
+		t.Fatal("shards=4+unshardable: trace diverges from the WithShards(1) build")
 	}
 }

@@ -1,6 +1,8 @@
 package graph
 
 import (
+	"slices"
+
 	"geospanner/internal/geom"
 )
 
@@ -43,18 +45,10 @@ func (g *Graph) Components() [][]int {
 				}
 			}
 		}
-		insertionSort(comp)
+		slices.Sort(comp)
 		comps = append(comps, comp)
 	}
 	return comps
-}
-
-func insertionSort(a []int) {
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j] < a[j-1]; j-- {
-			a[j], a[j-1] = a[j-1], a[j]
-		}
-	}
 }
 
 // SubsetConnected reports whether the subgraph induced by the given node

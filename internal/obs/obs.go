@@ -136,7 +136,7 @@ type Event struct {
 	Kind Kind `json:"kind"`
 	// Stage is the protocol stage ("cluster", "connector", "ldel", …).
 	Stage string `json:"stage,omitempty"`
-	// Round is the simulator round (or, for async runs, the event time).
+	// Round is the simulator round.
 	Round int `json:"round,omitempty"`
 	// Type is the message type, or the state name for KindState.
 	Type string `json:"type,omitempty"`

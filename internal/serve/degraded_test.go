@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"geospanner/internal/maintain"
 	"geospanner/internal/wal"
 )
 
@@ -64,7 +65,7 @@ func TestDegradedEnterAndExit(t *testing.T) {
 	if err := json.NewDecoder(rec.Body).Decode(&hr); err != nil || !hr.Degraded || hr.DegradedReason == "" {
 		t.Fatalf("healthz while degraded: err=%v %+v", err, hr)
 	}
-	body, _ := json.Marshal(EpochRequest{Events: EncodeEvents(failed)})
+	body, _ := json.Marshal(EpochRequest{Events: maintain.EncodeWire(failed)})
 	rec = httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/epoch", strings.NewReader(string(body))))
 	if rec.Code != http.StatusServiceUnavailable {

@@ -3,6 +3,7 @@ package serve
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"strconv"
 
@@ -167,13 +168,25 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, s.Stats())
 }
 
+// maxEpochBody caps the body of POST /v1/epoch. 16 MiB is far above one
+// ~80-byte move event per node of a 100k-node network.
+const maxEpochBody = 16 << 20
+
 func (s *Server) handleEpoch(w http.ResponseWriter, r *http.Request) {
 	var req EpochRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxEpochBody)).Decode(&req); err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			writeError(w, http.StatusRequestEntityTooLarge,
+				fmt.Errorf("request body over %d bytes", tooBig.Limit))
+			return
+		}
 		writeError(w, http.StatusBadRequest, errors.New("bad request body: "+err.Error()))
 		return
 	}
-	events, err := DecodeEvents(req.Events)
+	// The error, when non-nil, is a *maintain.ValidationError naming every
+	// invalid record.
+	events, err := maintain.DecodeWire(req.Events)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
@@ -196,17 +209,4 @@ func (s *Server) handleEpoch(w http.ResponseWriter, r *http.Request) {
 		Mode:        ep.Stats.Mode(),
 		WallMS:      ep.Stats.WallNS / 1e6,
 	})
-}
-
-// DecodeEvents validates and converts a wire batch through the canonical
-// codec. The error, when non-nil, is a *maintain.ValidationError naming
-// every invalid record.
-func DecodeEvents(wire []WireEvent) ([]maintain.Event, error) {
-	return maintain.DecodeWire(wire)
-}
-
-// EncodeEvents converts maintain events to their canonical wire form (the
-// inverse of DecodeEvents); used by the spannerd smoke driver and tests.
-func EncodeEvents(events []maintain.Event) []WireEvent {
-	return maintain.EncodeWire(events)
 }

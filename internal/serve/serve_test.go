@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -251,7 +252,7 @@ func TestHTTPAPI(t *testing.T) {
 
 	// Drive one epoch over the wire.
 	sched := NewScheduler(50, inst.Points, 200, inst.Radius)
-	body, err := json.Marshal(EpochRequest{Events: EncodeEvents(sched.Batch(10))})
+	body, err := json.Marshal(EpochRequest{Events: maintain.EncodeWire(sched.Batch(10))})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,5 +310,27 @@ func TestHTTPAPI(t *testing.T) {
 	var st Stats
 	if code := getJSON("/v1/stats", &st); code != http.StatusOK || st.Epochs != 1 {
 		t.Fatalf("stats: code=%d %+v", code, st)
+	}
+}
+
+// TestEpochBodyTooLarge: a POST /v1/epoch body over the cap is refused
+// with 413 in the error envelope, and no epoch is published — even when
+// the oversized body is a valid (empty) batch padded with whitespace.
+func TestEpochBodyTooLarge(t *testing.T) {
+	s, _ := newServer(t, 52, 40)
+	before := s.Current().Seq
+	body := io.MultiReader(strings.NewReader(`{"events":[`),
+		bytes.NewReader(bytes.Repeat([]byte(" "), maxEpochBody)), strings.NewReader(`]}`))
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, httptest.NewRequest("POST", "/v1/epoch", body))
+	if got := s.Current().Seq; got != before {
+		t.Fatalf("oversized body published epoch %d (was %d)", got, before)
+	}
+	if rec.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized body: code=%d, want 413: %s", rec.Code, rec.Body)
+	}
+	var ee ErrorResponse
+	if err := json.NewDecoder(rec.Body).Decode(&ee); err != nil || ee.Code != http.StatusRequestEntityTooLarge || ee.Error == "" {
+		t.Fatalf("oversized body: envelope %+v (decode error %v)", ee, err)
 	}
 }

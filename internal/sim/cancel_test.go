@@ -51,21 +51,6 @@ func TestRunUncanceledContext(t *testing.T) {
 	}
 }
 
-// TestAsyncRunCanceledContext: the asynchronous engine polls the context
-// and fails with the same CanceledError shape.
-func TestAsyncRunCanceledContext(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	g := pathGraph(4)
-	net := NewAsyncNetwork(g, 1, 2, func(id int) AsyncProtocol {
-		return &asyncFlooder{started: id == 0}
-	}, WithAsyncContext(ctx))
-	_, _, err := net.Run(0)
-	if !errors.Is(err, ErrCanceled) || !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want cancellation", err)
-	}
-}
-
 // TestCrashRounds: crash schedules are introspectable through any
 // composition, with the earliest crash round winning.
 func TestCrashRounds(t *testing.T) {

@@ -3,8 +3,7 @@ package sim
 // This file is the composable fault-model library for the simulator: every
 // way a radio channel can mistreat a message — independent (Bernoulli)
 // loss, bursty (Gilbert–Elliott) loss, node crashes, and duplication — as
-// small deterministic values that replace the ad-hoc DropFunc closures the
-// failure-injection tests used to build by hand.
+// small deterministic values.
 //
 // Determinism: every model is a pure function of its seed and the delivery
 // coordinates (round, from, to, seq), or — for the stateful Gilbert model —
@@ -18,10 +17,9 @@ package sim
 // duplication. Loss is per-receiver: one broadcast can reach some
 // neighbors and not others, as with real radios.
 //
-// round is the delivery round (synchronous network) or delivery time
-// (asynchronous network); seq is the globally unique send sequence number
-// of the transmission, so retransmissions of the same payload roll fresh
-// fates.
+// round is the delivery round; seq is the globally unique send sequence
+// number of the transmission, so retransmissions of the same payload roll
+// fresh fates.
 type FaultModel interface {
 	Copies(round, from, to, seq int, m Message) int
 }
@@ -35,10 +33,10 @@ type FaultModel interface {
 // stateful Gilbert model returns fresh same-seed instances, which is
 // sound because its per-link Markov chains are keyed by (from, to) and a
 // directed link's receiver lives on exactly one shard, so each chain is
-// consulted by one shard in the same order as on one shard. ShardFaults
-// may return nil to declare the model unshardable (DropFunc closures,
-// whose internal state the kernel cannot see); the run then executes on
-// one shard, which consults the model unsplit.
+// consulted by one shard in the same order as on one shard. A model that
+// does not implement FaultSharder, or whose ShardFaults returns nil, is
+// unshardable (its internal state is invisible to the kernel); the run
+// then executes on one shard, which consults the model unsplit.
 type FaultSharder interface {
 	ShardFaults(p int) []FaultModel
 }
@@ -404,21 +402,3 @@ func RemapFaults(fm FaultModel, ids []int) FaultModel {
 	}
 	return remapFaults{fm: fm, ids: ids}
 }
-
-// dropAdapter lifts a legacy DropFunc to a FaultModel.
-type dropAdapter struct {
-	f DropFunc
-}
-
-func (d dropAdapter) Copies(round, from, to, seq int, m Message) int {
-	if d.f(round, from, to, m) {
-		return 0
-	}
-	return 1
-}
-
-// FromDrop adapts a DropFunc closure to the FaultModel interface. The
-// resulting model is opaque to the kernel — a closure may carry arbitrary
-// state — so it does not implement FaultSharder, and runs using it
-// execute on one shard whatever WithShards asks for.
-func FromDrop(f DropFunc) FaultModel { return dropAdapter{f: f} }

@@ -154,13 +154,3 @@ func TestCompose(t *testing.T) {
 		t.Fatalf("empty composition should be the identity: %d copies", got)
 	}
 }
-
-func TestFromDrop(t *testing.T) {
-	fm := FromDrop(func(round, from, to int, m Message) bool { return to == 2 })
-	if fm.Copies(0, 1, 2, 0, nil) != 0 {
-		t.Fatal("drop decision ignored")
-	}
-	if fm.Copies(0, 1, 3, 0, nil) != 1 {
-		t.Fatal("non-matching delivery dropped")
-	}
-}

@@ -177,9 +177,7 @@ func TestReliableGiveUpAfterMaxRetries(t *testing.T) {
 	g := pathGraph(3)
 	net := NewNetwork(g, func(id int) Protocol { return &gossiper{k: 3} },
 		WithReliability(ReliableConfig{Timeout: 2, MaxRetries: 2}),
-		WithDrop(func(round, from, to int, m Message) bool {
-			return from == 1 && to == 2 // permanent one-way break
-		}))
+		WithFaults(linkCut{from: 1, to: 2})) // permanent one-way break
 	_, err := net.Run(60)
 	var qe *QuiescenceError
 	if !errors.As(err, &qe) {
@@ -215,9 +213,10 @@ func TestReliableDeterministicUnderLoss(t *testing.T) {
 	}
 }
 
-// asyncHello counts greetings from each neighbor; done when all have
-// greeted. It exercises AdaptAsync composition with the Reliable shim.
-type asyncHello struct {
+// greeter counts greetings from each neighbor; done when all have
+// greeted. It is purely event-driven — its Tick does nothing, so it never
+// retransmits on its own.
+type greeter struct {
 	want int
 	got  map[int]bool
 }
@@ -226,53 +225,35 @@ type helloMsg struct{}
 
 func (helloMsg) Type() string { return "hello" }
 
-func (a *asyncHello) Init(ctx *AsyncContext) {
-	a.want = len(ctx.Neighbors())
-	a.got = make(map[int]bool)
+func (p *greeter) Init(ctx *Context) {
+	p.want = len(ctx.Neighbors())
+	p.got = make(map[int]bool)
 	ctx.Broadcast(helloMsg{})
 }
 
-func (a *asyncHello) Handle(ctx *AsyncContext, from int, m Message) {
+func (p *greeter) Handle(ctx *Context, from int, m Message) {
 	if _, ok := m.(helloMsg); ok {
-		a.got[from] = true
+		p.got[from] = true
 	}
 }
 
-func (a *asyncHello) Done() bool { return len(a.got) == a.want }
+func (p *greeter) Tick(ctx *Context, round int) {}
 
-func TestAdaptAsyncUnderReliableLoss(t *testing.T) {
+func (p *greeter) Done() bool { return len(p.got) == p.want }
+
+// TestEventDrivenUnderReliableLoss: the Reliable shim alone makes an
+// event-driven protocol loss-tolerant.
+func TestEventDrivenUnderReliableLoss(t *testing.T) {
 	g := pathGraph(6)
-	net := NewNetwork(g, func(id int) Protocol {
-		return AdaptAsync(&asyncHello{})
-	}, WithReliability(ReliableConfig{}), WithFaults(Bernoulli(5, 0.3)))
+	net := NewNetwork(g, func(id int) Protocol { return &greeter{} },
+		WithReliability(ReliableConfig{}), WithFaults(Bernoulli(5, 0.3)))
 	if _, err := net.Run(500); err != nil {
 		t.Fatal(err)
 	}
 	for id := 0; id < g.N(); id++ {
-		inner := net.Protocol(id).(*AsyncAdapter).Inner().(*asyncHello)
+		inner := net.Protocol(id).(*greeter)
 		if !inner.Done() {
 			t.Fatalf("node %d missing greetings: got %v want %d", id, inner.got, inner.want)
 		}
-	}
-}
-
-func TestAsyncNetworkWithFaults(t *testing.T) {
-	g := pathGraph(4)
-	// Async run under total loss: every node keeps waiting for greetings
-	// and the error is the diagnostic QuiescenceError.
-	net := NewAsyncNetwork(g, 1, 3, func(id int) AsyncProtocol { return &asyncHello{} },
-		WithAsyncFaults(Bernoulli(1, 1.0)))
-	_, _, err := net.Run(0)
-	var qe *QuiescenceError
-	if !errors.As(err, &qe) {
-		t.Fatalf("err = %v, want *QuiescenceError", err)
-	}
-	if len(qe.NotDone) != g.N() {
-		t.Fatalf("NotDone = %v, want all %d nodes", qe.NotDone, g.N())
-	}
-	// And with no faults it completes.
-	net = NewAsyncNetwork(g, 1, 3, func(id int) AsyncProtocol { return &asyncHello{} })
-	if _, _, err := net.Run(0); err != nil {
-		t.Fatal(err)
 	}
 }

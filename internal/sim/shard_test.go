@@ -234,16 +234,14 @@ func TestShardClampsToNodeCount(t *testing.T) {
 	diffRuns(t, "clamped", seq, got)
 }
 
-// TestShardFallbackDropFunc: a raw DropFunc closure cannot be split into
-// per-shard instances, so the run uses one shard — and the closure still
-// decides every delivery.
-func TestShardFallbackDropFunc(t *testing.T) {
+// TestShardFallbackUnshardableFaults: a fault model without ShardFaults
+// cannot be split into per-shard instances, so the run uses one shard —
+// and the model still decides every delivery.
+func TestShardFallbackUnshardableFaults(t *testing.T) {
 	g := pathGraph(3)
 	net := NewNetwork(g, func(id int) Protocol {
 		return &flooder{id: id, started: id == 0}
-	}, WithShards(4), WithDrop(func(round, from, to int, m Message) bool {
-		return from == 1 && to == 2
-	}))
+	}, WithShards(4), WithFaults(linkCut{from: 1, to: 2}))
 	if _, err := net.Run(0); err != nil {
 		t.Fatal(err)
 	}
@@ -334,9 +332,9 @@ func TestShardFaultModels(t *testing.T) {
 		}
 	}
 	unshardable := []FaultModel{
-		FromDrop(func(round, from, to int, m Message) bool { return false }),
-		Compose(Bernoulli(1, 0.1), FromDrop(func(round, from, to int, m Message) bool { return false })),
-		RemapFaults(FromDrop(func(round, from, to int, m Message) bool { return false }), []int{0}),
+		linkCut{from: 1, to: 2},
+		Compose(Bernoulli(1, 0.1), linkCut{from: 1, to: 2}),
+		RemapFaults(linkCut{from: 1, to: 2}, []int{0}),
 	}
 	for i, fm := range unshardable {
 		if _, ok := shardFaultModels(fm, 3); ok {

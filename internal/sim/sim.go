@@ -151,11 +151,6 @@ type Protocol interface {
 	Done() bool
 }
 
-// DropFunc decides whether the link transmission from -> to of message m is
-// lost. A nil DropFunc drops nothing. Loss is per-receiver: one broadcast
-// can reach some neighbors and not others, as with real radios.
-type DropFunc func(round, from, to int, m Message) bool
-
 // Context is the interface a protocol uses to interact with the network.
 // When send is non-nil, Broadcast is redirected to it instead of the
 // radio — the hook the Reliable shim uses to capture an inner protocol's
@@ -176,11 +171,6 @@ func (c *Context) ID() int { return c.id }
 
 // Pos returns the node's position.
 func (c *Context) Pos() geom.Point { return c.net.g.Point(c.id) }
-
-// PosOf returns the position of an arbitrary node. Protocols use it only
-// for nodes whose coordinates they have legitimately learned; the paper
-// assumes each node knows the positions of its 1-hop neighbors.
-func (c *Context) PosOf(id int) geom.Point { return c.net.g.Point(id) }
 
 // Neighbors returns the node's 1-hop neighbors in the unit disk graph, in
 // increasing ID order.
@@ -267,12 +257,6 @@ type Network struct {
 // Option configures a Network.
 type Option func(*Network)
 
-// WithDrop installs a message-loss function for failure-injection tests.
-// It is the legacy form of WithFaults(FromDrop(f)).
-func WithDrop(f DropFunc) Option {
-	return func(n *Network) { n.faults = FromDrop(f) }
-}
-
 // WithFaults installs a fault model deciding the fate of every link-level
 // delivery (loss, bursts, crashes, duplication). A nil model delivers
 // everything exactly once.
@@ -317,8 +301,8 @@ func WithContext(ctx context.Context) Option {
 // Results — the computed protocol state, message counters, round counts,
 // and the protocol-level trace event stream — are bit-identical for any
 // p (see DESIGN.md §12). p is clamped to the node count; p <= 0 (the
-// default) means one shard. Fault models built from raw DropFunc closures
-// (WithDrop) cannot be split into independent per-shard instances; such
+// default) means one shard. A fault model that does not implement
+// FaultSharder cannot be split into independent per-shard instances; such
 // runs use one shard (ShardsUsed reports what actually ran).
 func WithShards(p int) Option {
 	return func(n *Network) { n.shards = p }
@@ -604,16 +588,6 @@ func (n *Network) TotalSent() int {
 		total += s
 	}
 	return total
-}
-
-// AddSent adds external message counts into the per-node counters. The
-// pipeline uses it to account for the initial position/ID beacon every node
-// sends once before any protocol runs.
-func (n *Network) AddSent(perNode int, msgType string) {
-	for i := range n.sent {
-		n.sent[i] += perNode
-	}
-	n.byType[msgType] += perNode * len(n.sent)
 }
 
 // RoundStats describes one executed round.

@@ -148,40 +148,3 @@ func TestTraceDoesNotPerturbRun(t *testing.T) {
 		}
 	}
 }
-
-func TestAsyncTrace(t *testing.T) {
-	inst, err := udg.ConnectedInstance(11, 15, 200, 90, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ring := obs.NewRing(1 << 16)
-	net := NewAsyncNetwork(inst.UDG, 42, 3, func(id int) AsyncProtocol {
-		return &asyncPing{id: id}
-	}, WithAsyncTracer(ring), WithAsyncStage("aping"))
-	if _, _, err := net.Run(0); err != nil {
-		t.Fatal(err)
-	}
-	kinds := countKinds(ring.Events())
-	if kinds[obs.KindStageStart] != 1 || kinds[obs.KindStageEnd] != 1 {
-		t.Fatalf("stage events: %v", kinds)
-	}
-	if kinds[obs.KindSend] != net.TotalSent() {
-		t.Fatalf("send events = %d, want %d", kinds[obs.KindSend], net.TotalSent())
-	}
-	if kinds[obs.KindDeliver] == 0 || kinds[obs.KindState] != inst.UDG.N() {
-		t.Fatalf("deliver/state events: %v", kinds)
-	}
-}
-
-type asyncPing struct {
-	id   int
-	sent bool
-}
-
-func (p *asyncPing) Init(ctx *AsyncContext) {
-	ctx.Broadcast(pingMsg{Origin: p.id})
-	ctx.EmitState("pinged")
-	p.sent = true
-}
-func (p *asyncPing) Handle(ctx *AsyncContext, from int, m Message) {}
-func (p *asyncPing) Done() bool                                    { return p.sent }
