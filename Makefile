@@ -68,10 +68,19 @@ fuzz:
 	$(GO) test ./internal/wal/ -fuzz=FuzzWALSnapshot -fuzztime=$(FUZZTIME)
 
 # bench runs the full benchmark suite once and records it as
-# BENCH_<date>.json (name, ns/op, B/op, allocs/op per benchmark).
+# BENCH_<date>.json (name, ns/op, B/op, allocs/op per benchmark). The raw
+# output is captured once in a temp file, printed, and then fed to
+# benchjson, so a redirected log keeps everything written before it; a
+# failing go test or benchjson fails the target and writes no JSON.
 bench:
-	$(GO) test -bench=. -benchmem -run='^$$' . ./internal/... | tee /dev/stderr | $(GO) run ./tools/benchjson > BENCH_$(DATE).json
-	@echo "wrote BENCH_$(DATE).json"
+	@out="$$(mktemp)"; \
+	$(GO) test -bench=. -benchmem -run='^$$' . ./internal/... > "$$out"; status=$$?; \
+	cat "$$out"; \
+	if [ $$status -eq 0 ]; then \
+		$(GO) run ./tools/benchjson < "$$out" > "$$out.json" && \
+		mv "$$out.json" BENCH_$(DATE).json && echo "wrote BENCH_$(DATE).json"; status=$$?; \
+	fi; \
+	rm -f "$$out" "$$out.json"; exit $$status
 
 # bench-smoke runs the Table 1 shard-count benchmark (and the epoch
 # benchmark) for a single iteration and gates it against the newest
@@ -80,19 +89,21 @@ bench:
 # without the cost of a full benchmark run. The threshold is deliberately loose
 # (100%): the baseline was recorded on different hardware and a 1x run
 # is noisy; the gate is for order-of-magnitude regressions. BENCHBASE
-# overrides the baseline file, BENCHTHRESHOLD the fraction.
+# overrides the baseline file, BENCHTHRESHOLD the fraction. As in bench,
+# the raw output is captured once, printed, then compared, and a failing
+# benchmark or comparison fails the target.
 BENCHBASE ?= $(lastword $(sort $(wildcard BENCH_*.json)))
 BENCHTHRESHOLD ?= 1.0
 bench-smoke:
-	@if [ -n "$(BENCHBASE)" ]; then \
-		{ $(GO) test -bench=BenchmarkTable1Sharded -benchtime=1x -run='^$$' . && \
-		  $(GO) test -bench=BenchmarkEpochApply -benchtime=1x -run='^$$' ./internal/serve/; } | tee /dev/stderr | \
-			$(GO) run ./tools/benchjson -compare "$(BENCHBASE)" -threshold $(BENCHTHRESHOLD); \
-	else \
-		echo "no BENCH_*.json baseline; running without -compare"; \
-		$(GO) test -bench=BenchmarkTable1Sharded -benchtime=1x -run='^$$' . && \
-		$(GO) test -bench=BenchmarkEpochApply -benchtime=1x -run='^$$' ./internal/serve/; \
-	fi
+	@[ -n "$(BENCHBASE)" ] || echo "no BENCH_*.json baseline; running without -compare"; \
+	out="$$(mktemp)"; \
+	{ $(GO) test -bench=BenchmarkTable1Sharded -benchtime=1x -run='^$$' . && \
+	  $(GO) test -bench=BenchmarkEpochApply -benchtime=1x -run='^$$' ./internal/serve/; } > "$$out"; status=$$?; \
+	cat "$$out"; \
+	if [ $$status -eq 0 ] && [ -n "$(BENCHBASE)" ]; then \
+		$(GO) run ./tools/benchjson -compare "$(BENCHBASE)" -threshold $(BENCHTHRESHOLD) < "$$out"; status=$$?; \
+	fi; \
+	rm -f "$$out"; exit $$status
 
 # trace-smoke runs the traced experiment on a seed instance, writes the
 # JSONL event stream, and validates every line against the sink schema

@@ -23,6 +23,7 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"geospanner/internal/graph"
@@ -223,6 +224,25 @@ func Centralized(g *graph.Graph) *Result {
 	return Derive(g, isDom)
 }
 
+// View is the alive adjacency a derivation reads: the unit disk graph
+// restricted to the alive nodes, a dead node isolated. Incremental
+// maintenance passes the same view to the connector election.
+type View interface {
+	// Adjacent reports an alive edge between a and b.
+	Adjacent(a, b int) bool
+	// AliveNeighbors returns the sorted alive neighbors of v (none for a
+	// dead node).
+	AliveNeighbors(v int) []int
+}
+
+// GraphView adapts a graph whose dead nodes are isolated to View.
+func GraphView(g *graph.Graph) View { return graphView{g} }
+
+type graphView struct{ g *graph.Graph }
+
+func (gv graphView) Adjacent(a, b int) bool     { return gv.g.HasEdge(a, b) }
+func (gv graphView) AliveNeighbors(v int) []int { return gv.g.Neighbors(v) }
+
 // Derive completes a clustering of g from its dominator set: nodes with
 // isDom set are dominators, every other node a dominatee. DominatorsOf[v]
 // lists the dominators adjacent to a dominatee v, and
@@ -230,41 +250,74 @@ func Centralized(g *graph.Graph) *Result {
 // nor adjacent to it — exactly what v learns from overheard IamDominatee
 // messages. It is the one derivation of the dominator bookkeeping:
 // Centralized, CentralizedWeighted, and incremental maintenance (over the
-// alive graph, dead nodes isolated) all call it.
+// alive graph, dead nodes isolated) all call it, the last through
+// Rederive.
 func Derive(g *graph.Graph, isDom []bool) *Result {
-	n := g.N()
-	res := newResult(n)
-	for v := 0; v < n; v++ {
-		if isDom[v] {
-			res.Status[v] = Dominator
-			res.Dominators = append(res.Dominators, v)
+	all := make([]int, g.N())
+	for v := range all {
+		all[v] = v
+	}
+	res := newResult(g.N())
+	res.Rederive(graphView{g}, func(v int) bool { return isDom[v] }, all)
+	return res
+}
+
+// Rederive brings r current for the dominator set isDom over view by
+// re-running Derive's per-node rule for exactly the nodes of scope
+// (sorted, distinct) and keeping every other entry. It equals a fresh
+// Derive whenever scope holds every node within two hops — before or
+// after the change — of a node whose dominator flag, liveness, or
+// adjacency changed since r was last current: a node's status reads its
+// own flag, its dominator list its neighbors' flags, and its two-hop
+// list its neighbors' dominator lists. Replaced entries are fresh
+// slices; r itself and its outer slices are updated in place.
+func (r *Result) Rederive(view View, isDom func(v int) bool, scope []int) {
+	for _, v := range scope {
+		was, dom := r.Status[v] == Dominator, isDom(v)
+		r.Status[v] = Dominatee
+		if dom {
+			r.Status[v] = Dominator
+		}
+		if was == dom {
 			continue
 		}
-		res.Status[v] = Dominatee
-		for _, u := range g.Neighbors(v) {
-			if isDom[u] {
-				res.DominatorsOf[v] = append(res.DominatorsOf[v], u)
-			}
+		if i, _ := slices.BinarySearch(r.Dominators, v); dom {
+			r.Dominators = slices.Insert(r.Dominators, i, v)
+		} else {
+			r.Dominators = slices.Delete(r.Dominators, i, i+1)
 		}
 	}
-	seen := make([]int, n) // seen[u] == v+1: dominator u already considered for v
-	for v := 0; v < n; v++ {
+	if len(r.Dominators) == 0 {
+		r.Dominators = nil
+	}
+	for _, v := range scope {
+		var doms []int
+		if r.Status[v] == Dominatee {
+			for _, u := range view.AliveNeighbors(v) {
+				if r.Status[u] == Dominator {
+					doms = append(doms, u)
+				}
+			}
+		}
+		r.DominatorsOf[v] = doms
+	}
+	seen := make([]int, len(r.Status)) // seen[u] == v+1: dominator u already considered for v
+	for _, v := range scope {
 		var two []int
-		for _, w := range g.Neighbors(v) {
-			for _, u := range res.DominatorsOf[w] {
+		for _, w := range view.AliveNeighbors(v) {
+			for _, u := range r.DominatorsOf[w] {
 				if u == v || seen[u] == v+1 {
 					continue
 				}
 				seen[u] = v + 1
-				if !g.HasEdge(u, v) {
+				if !view.Adjacent(u, v) {
 					two = append(two, u)
 				}
 			}
 		}
 		sort.Ints(two)
-		res.TwoHopDominators[v] = two
+		r.TwoHopDominators[v] = two
 	}
-	return res
 }
 
 func sortedKeys(m map[int]bool) []int {

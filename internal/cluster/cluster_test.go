@@ -1,7 +1,9 @@
 package cluster
 
 import (
+	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"geospanner/internal/geom"
@@ -216,5 +218,80 @@ func TestDominatorsOfDominatorEmpty(t *testing.T) {
 func TestStatusString(t *testing.T) {
 	if White.String() != "white" || Dominator.String() != "dominator" || Dominatee.String() != "dominatee" {
 		t.Fatal("Status.String mismatch")
+	}
+}
+
+// TestRederiveMatchesDerive pins the scoped re-derivation to the full
+// one: after each random change to a dirty node set — a node dies or
+// rejoins, or its dominator flag flips — re-deriving only the nodes
+// within two hops of a dirty node, in the old graph or the new, must give
+// exactly a fresh Derive.
+func TestRederiveMatchesDerive(t *testing.T) {
+	partial := 0
+	for seed := int64(1); seed <= 5; seed++ {
+		inst, err := udg.ConnectedInstance(seed, 120, 200, 40, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		full := inst.UDG
+		n := full.N()
+		rng := rand.New(rand.NewSource(seed))
+		alive := make(map[int]bool, n)
+		for v := 0; v < n; v++ {
+			alive[v] = true
+		}
+		isDom := make([]bool, n)
+		for v, st := range Centralized(full).Status {
+			isDom[v] = st == Dominator
+		}
+		g := full.Subgraph(alive)
+		r := Derive(g, isDom)
+		for step := 0; step < 25; step++ {
+			var dirty []int
+			for i := 0; i < 1+rng.Intn(4); i++ {
+				v := rng.Intn(n)
+				dirty = append(dirty, v)
+				if rng.Intn(3) == 0 {
+					isDom[v] = !isDom[v]
+				} else if alive[v] {
+					delete(alive, v)
+				} else {
+					alive[v] = true
+				}
+			}
+			g2 := full.Subgraph(alive)
+			inScope := map[int]bool{}
+			frontier := dirty
+			for hop := 0; hop <= 2; hop++ {
+				var next []int
+				for _, v := range frontier {
+					if inScope[v] {
+						continue
+					}
+					inScope[v] = true
+					next = append(next, g.Neighbors(v)...)
+					next = append(next, g2.Neighbors(v)...)
+				}
+				frontier = next
+			}
+			scope := make([]int, 0, len(inScope))
+			for v := range inScope {
+				scope = append(scope, v)
+			}
+			slices.Sort(scope)
+			if len(scope) < n/2 {
+				partial++
+			}
+
+			r.Rederive(GraphView(g2), func(v int) bool { return isDom[v] }, scope)
+			if want := Derive(g2, isDom); !reflect.DeepEqual(r, want) {
+				t.Fatalf("seed %d step %d: re-derivation over %d of %d nodes differs from Derive (dirty %v)",
+					seed, step, len(scope), n, dirty)
+			}
+			g = g2
+		}
+	}
+	if partial == 0 {
+		t.Fatal("every scope covered half the network; the scoped path was never exercised")
 	}
 }

@@ -73,18 +73,18 @@ type Options struct {
 	SingleOrientation bool
 }
 
-// ProposalKeys calls fn for every stage-0 and stage-1 election a
+// proposalKeys calls fn for every stage-0 and stage-1 election a
 // dominatee with the given sorted dominator and two-hop-dominator lists
 // proposes itself for, in broadcast order: Algorithm 1 step 3 (one
 // stage-0 key per pair of its dominators, U < V), then step 5 (one
 // stage-1 key per own dominator U and two-hop dominator V, only U < V
 // under SingleOrientation). It is the one enumeration of proposals: the
-// protocol's Init, the centralized election, and incremental maintenance
-// all call it.
-func ProposalKeys(doms, twoHop []int, opts Options, fn func(KeyID)) {
+// protocol's Init, the centralized election, and Witness.Patch all call
+// it.
+func proposalKeys(doms, twoHop []int, opts Options, fn func(keyID)) {
 	for i, u := range doms {
 		for _, v := range doms[i+1:] {
-			fn(KeyID{U: u, V: v, Stage: 0})
+			fn(keyID{U: u, V: v, Stage: 0})
 		}
 	}
 	for _, u := range doms {
@@ -92,7 +92,7 @@ func ProposalKeys(doms, twoHop []int, opts Options, fn func(KeyID)) {
 			if opts.SingleOrientation && u > v {
 				continue
 			}
-			fn(KeyID{U: u, V: v, Stage: 1})
+			fn(keyID{U: u, V: v, Stage: 1})
 		}
 	}
 }
@@ -107,9 +107,9 @@ type node struct {
 	// proposed, minHeard, and triggers are keyed by election: the keys
 	// this node proposed, the smallest neighbor ID heard proposing each
 	// key, and the stage-1 winners that triggered a stage-2 proposal.
-	proposed map[KeyID]bool
-	minHeard map[KeyID]int
-	triggers map[KeyID][]int
+	proposed map[keyID]bool
+	minHeard map[keyID]int
+	triggers map[keyID][]int
 	elected  bool
 	edges    []graph.Edge
 	round    int
@@ -118,18 +118,18 @@ type node struct {
 var _ sim.Protocol = (*node)(nil)
 
 func (n *node) Init(ctx *sim.Context) {
-	n.proposed = make(map[KeyID]bool)
-	n.minHeard = make(map[KeyID]int)
-	n.triggers = make(map[KeyID][]int)
+	n.proposed = make(map[keyID]bool)
+	n.minHeard = make(map[keyID]int)
+	n.triggers = make(map[keyID][]int)
 	if n.status != cluster.Dominatee {
 		return
 	}
 	// Steps 3 and 5: 2-hop pairs between own dominators, then first nodes
 	// of 3-hop paths from an own dominator to a two-hop dominator.
-	ProposalKeys(n.doms, n.twoHops, n.opts, func(k KeyID) { n.propose(ctx, k) })
+	proposalKeys(n.doms, n.twoHops, n.opts, func(k keyID) { n.propose(ctx, k) })
 }
 
-func (n *node) propose(ctx *sim.Context, k KeyID) {
+func (n *node) propose(ctx *sim.Context, k keyID) {
 	if n.proposed[k] {
 		return
 	}
@@ -140,7 +140,7 @@ func (n *node) propose(ctx *sim.Context, k KeyID) {
 func (n *node) Handle(ctx *sim.Context, from int, m sim.Message) {
 	switch msg := m.(type) {
 	case MsgTryConnector:
-		k := KeyID{U: msg.U, V: msg.V, Stage: msg.Stage}
+		k := keyID{U: msg.U, V: msg.V, Stage: msg.Stage}
 		if cur, ok := n.minHeard[k]; !ok || from < cur {
 			n.minHeard[k] = from
 		}
@@ -154,7 +154,7 @@ func (n *node) Handle(ctx *sim.Context, from int, m sim.Message) {
 		if !contains(n.doms, msg.V) || !contains(n.twoHops, msg.U) {
 			return
 		}
-		k := KeyID{U: msg.U, V: msg.V, Stage: 2}
+		k := keyID{U: msg.U, V: msg.V, Stage: 2}
 		n.triggers[k] = append(n.triggers[k], from)
 	}
 }
@@ -179,11 +179,11 @@ func (n *node) Tick(ctx *sim.Context, round int) {
 	case 2:
 		// Step 7: propose as second node for every triggered key, in
 		// sorted key order so the broadcast order is deterministic.
-		keys := make([]KeyID, 0, len(n.triggers))
+		keys := make([]keyID, 0, len(n.triggers))
 		for k := range n.triggers {
 			keys = append(keys, k)
 		}
-		SortKeyIDs(keys)
+		sortKeyIDs(keys)
 		for _, k := range keys {
 			n.propose(ctx, k)
 		}
@@ -197,13 +197,13 @@ func (n *node) Tick(ctx *sim.Context, round int) {
 // where its own ID is smaller than every neighbor it heard proposing the
 // same key.
 func (n *node) electStage(ctx *sim.Context, stage int) {
-	keys := make([]KeyID, 0, len(n.proposed))
+	keys := make([]keyID, 0, len(n.proposed))
 	for k := range n.proposed {
 		if k.Stage == stage {
 			keys = append(keys, k)
 		}
 	}
-	SortKeyIDs(keys)
+	sortKeyIDs(keys)
 	for _, k := range keys {
 		if minID, heard := n.minHeard[k]; heard && minID < n.id {
 			continue
@@ -294,49 +294,53 @@ func RunOpts(g *graph.Graph, cl *cluster.Result, maxRounds int, opts Options, si
 // assemble builds the Result graphs from the elected connectors and path
 // edges.
 func assemble(g *graph.Graph, cl *cluster.Result, isConnector []bool, edges []graph.Edge) *Result {
-	res := &Result{
-		Cluster:    cl,
-		InBackbone: make([]bool, g.N()),
-	}
-	for v := 0; v < g.N(); v++ {
-		if isConnector[v] {
-			res.Connectors = append(res.Connectors, v)
-		}
-		if isConnector[v] || cl.Status[v] == cluster.Dominator {
-			res.InBackbone[v] = true
-			res.Backbone = append(res.Backbone, v)
-		}
-	}
-
+	res := &Result{}
+	res.setMembers(cl, isConnector)
 	res.CDS = graph.New(g.Points())
 	for _, e := range edges {
 		res.CDS.AddEdge(e.U, e.V)
 	}
-
-	res.CDSPrime = res.CDS.Clone()
-	for v := 0; v < g.N(); v++ {
-		for _, u := range cl.DominatorsOf[v] {
-			res.CDSPrime.AddEdge(v, u)
-		}
-	}
-
 	keep := make(map[int]bool, len(res.Backbone))
 	for _, v := range res.Backbone {
 		keep[v] = true
 	}
 	res.ICDS = g.Subgraph(keep)
-
-	res.ICDSPrime = res.ICDS.Clone()
-	for v := 0; v < g.N(); v++ {
-		for _, u := range cl.DominatorsOf[v] {
-			res.ICDSPrime.AddEdge(v, u)
-		}
-	}
+	res.setPrimes()
 	return res
 }
 
+// setMembers sets Cluster and the membership views: the connectors
+// isConnector flags, and the backbone they form with cl's dominators.
+func (r *Result) setMembers(cl *cluster.Result, isConnector []bool) {
+	r.Cluster = cl
+	r.InBackbone = make([]bool, len(cl.Status))
+	r.Connectors, r.Backbone = nil, nil
+	for v, st := range cl.Status {
+		if isConnector[v] {
+			r.Connectors = append(r.Connectors, v)
+		}
+		if isConnector[v] || st == cluster.Dominator {
+			r.InBackbone[v] = true
+			r.Backbone = append(r.Backbone, v)
+		}
+	}
+}
+
+// setPrimes derives CDS' and ICDS' from CDS and ICDS: each plus every
+// dominatee→dominator edge of the clustering.
+func (r *Result) setPrimes() {
+	r.CDSPrime = r.CDS.Clone()
+	r.ICDSPrime = r.ICDS.Clone()
+	for v, doms := range r.Cluster.DominatorsOf {
+		for _, u := range doms {
+			r.CDSPrime.AddEdge(v, u)
+			r.ICDSPrime.AddEdge(v, u)
+		}
+	}
+}
+
 // Centralized computes the same Result as Run without message passing:
-// every election is decided by RecomputeRecord, the rule the incremental
+// every election is decided by recomputeRecord, the rule the incremental
 // patch path uses too. Tests assert Run and Centralized agree on every
 // instance.
 func Centralized(g *graph.Graph, cl *cluster.Result) *Result {
@@ -347,7 +351,7 @@ func Centralized(g *graph.Graph, cl *cluster.Result) *Result {
 func CentralizedOpts(g *graph.Graph, cl *cluster.Result, opts Options) *Result {
 	isConnector := make([]bool, g.N())
 	var edges []graph.Edge
-	electAll(graphView{g}, cl, opts, func(_ KeyID, rec *KeyRecord) {
+	electAll(cluster.GraphView(g), cl, opts, func(_ keyID, rec *keyRecord) {
 		for _, w := range rec.Winners {
 			isConnector[w] = true
 		}
@@ -356,19 +360,19 @@ func CentralizedOpts(g *graph.Graph, cl *cluster.Result, opts Options) *Result {
 	return assemble(g, cl, isConnector, edges)
 }
 
-// electAll decides every election of Algorithm 1 through RecomputeRecord
+// electAll decides every election of Algorithm 1 through recomputeRecord
 // and hands each existing key's record to fn: the stage-0/1 keys some
-// dominatee proposes (ProposalKeys), in first-proposal order, each
+// dominatee proposes (proposalKeys), in first-proposal order, each
 // stage-1 key followed by its stage-2 sibling, which reads the stage-1
 // winners.
-func electAll(view View, cl *cluster.Result, opts Options, fn func(KeyID, *KeyRecord)) {
-	seen := make(map[KeyID]bool)
-	var keys []KeyID
+func electAll(view cluster.View, cl *cluster.Result, opts Options, fn func(keyID, *keyRecord)) {
+	seen := make(map[keyID]bool)
+	var keys []keyID
 	for w, st := range cl.Status {
 		if st != cluster.Dominatee {
 			continue
 		}
-		ProposalKeys(cl.DominatorsOf[w], cl.TwoHopDominators[w], opts, func(k KeyID) {
+		proposalKeys(cl.DominatorsOf[w], cl.TwoHopDominators[w], opts, func(k keyID) {
 			if !seen[k] {
 				seen[k] = true
 				keys = append(keys, k)
@@ -376,14 +380,14 @@ func electAll(view View, cl *cluster.Result, opts Options, fn func(KeyID, *KeyRe
 		})
 	}
 	for _, k := range keys {
-		rec := RecomputeRecord(view, cl, k, nil)
+		rec := recomputeRecord(view, cl, k, nil)
 		if rec == nil {
 			continue
 		}
 		fn(k, rec)
 		if k.Stage == 1 {
-			k2 := KeyID{U: k.U, V: k.V, Stage: 2}
-			if rec2 := RecomputeRecord(view, cl, k2, rec.Winners); rec2 != nil {
+			k2 := keyID{U: k.U, V: k.V, Stage: 2}
+			if rec2 := recomputeRecord(view, cl, k2, rec.Winners); rec2 != nil {
 				fn(k2, rec2)
 			}
 		}

@@ -4,34 +4,35 @@
 // determined candidate set — stage 0/1 candidates are dominatees adjacent
 // to the key's first dominator, stage 2 candidates are dominatees adjacent
 // to a stage-1 winner — and the winners are exactly the local minima of
-// that set under alive-UDG adjacency. A KeyRecord captures the full
+// that set under alive-UDG adjacency. A keyRecord captures the full
 // witness of one such decision: the candidates (the witness set), the
 // winners, and the path edges they contribute. Because the outcome of a
 // key is a pure function of its candidate set, the candidates' mutual
 // adjacency, and (for stage 2) the upstream stage-1 winners, a topology
 // change can only alter keys whose witness scope it intersects; every
-// other election is provably untouched. internal/maintain exploits this to
-// re-run only the dirty keys after a churn event and splice the result
-// into the cached backbone, bit-identical to a from-scratch election.
+// other election is provably untouched. Witness.Patch exploits this to
+// re-run only the dirty keys after churn and splice the result into the
+// cached backbone, bit-identical to a from-scratch election.
 package connector
 
 import (
+	"slices"
 	"sort"
 
 	"geospanner/internal/cluster"
 	"geospanner/internal/graph"
 )
 
-// KeyID identifies one connector election: a dominator pair and a stage.
+// keyID identifies one connector election: a dominator pair and a stage.
 // Stage 0 keys have U < V (unordered 2-hop pairs); stage 1 and 2 keys are
 // oriented 3-hop paths from U to V.
-type KeyID struct {
+type keyID struct {
 	U, V  int
 	Stage int
 }
 
-// KeyRecord is the witness of one election decision.
-type KeyRecord struct {
+// keyRecord is the witness of one election decision.
+type keyRecord struct {
 	// Cands is the sorted candidate set — the witness set that decided the
 	// election. For stage 2 these are the responders.
 	Cands []int
@@ -43,27 +44,11 @@ type KeyRecord struct {
 	Edges []graph.Edge
 }
 
-// View is the read surface a witnessed election needs: alive-UDG adjacency.
-// Role information comes from the cluster.Result passed alongside.
-type View interface {
-	// Adjacent reports an alive-UDG edge between a and b.
-	Adjacent(a, b int) bool
-	// AliveNeighbors returns the sorted alive UDG neighbors of v (empty for
-	// a dead node).
-	AliveNeighbors(v int) []int
-}
-
-// graphView adapts an alive unit-disk graph (dead nodes isolated) to View.
-type graphView struct{ g *graph.Graph }
-
-func (gv graphView) Adjacent(a, b int) bool     { return gv.g.HasEdge(a, b) }
-func (gv graphView) AliveNeighbors(v int) []int { return gv.g.Neighbors(v) }
-
 // electAmong returns the local minima of the sorted candidate set: w wins
 // unless a smaller-ID candidate is adjacent to it — Algorithm 1's
 // smallest-ID election (steps 4, 6, and 8), which the protocol's nodes
 // decide from the proposals they hear.
-func electAmong(view View, cands []int) []int {
+func electAmong(view cluster.View, cands []int) []int {
 	var winners []int
 	for i, w := range cands {
 		won := true
@@ -80,12 +65,12 @@ func electAmong(view View, cands []int) []int {
 	return winners
 }
 
-// RecomputeRecord derives the current witness record of one key from local
+// recomputeRecord derives the current witness record of one key from local
 // state: candidates, winners, and path edges. stage1Winners is the current
 // winner set of the key's stage-1 sibling and is only read for stage-2
 // keys. It returns nil when the key has no candidates (the key does not
 // exist in the current topology).
-func RecomputeRecord(view View, cl *cluster.Result, k KeyID, stage1Winners []int) *KeyRecord {
+func recomputeRecord(view cluster.View, cl *cluster.Result, k keyID, stage1Winners []int) *keyRecord {
 	if k.Stage == 2 {
 		return recordStage2(view, cl, k, stage1Winners)
 	}
@@ -95,7 +80,7 @@ func RecomputeRecord(view View, cl *cluster.Result, k KeyID, stage1Winners []int
 // recordStage01 recomputes a stage-0 or stage-1 record. Every candidate
 // has k.U among its dominators and is therefore adjacent to k.U, so
 // scanning k.U's alive neighborhood enumerates the full proposal set.
-func recordStage01(view View, cl *cluster.Result, k KeyID) *KeyRecord {
+func recordStage01(view cluster.View, cl *cluster.Result, k keyID) *keyRecord {
 	var cands []int
 	for _, w := range view.AliveNeighbors(k.U) {
 		if cl.Status[w] != cluster.Dominatee || !contains(cl.DominatorsOf[w], k.U) {
@@ -113,7 +98,7 @@ func recordStage01(view View, cl *cluster.Result, k KeyID) *KeyRecord {
 	if len(cands) == 0 {
 		return nil
 	}
-	rec := &KeyRecord{Cands: cands, Winners: electAmong(view, cands)}
+	rec := &keyRecord{Cands: cands, Winners: electAmong(view, cands)}
 	for _, w := range rec.Winners {
 		if k.Stage == 0 {
 			rec.Edges = append(rec.Edges, graph.MakeEdge(k.U, w), graph.MakeEdge(w, k.V))
@@ -128,7 +113,7 @@ func recordStage01(view View, cl *cluster.Result, k KeyID) *KeyRecord {
 // adjacent to a current stage-1 winner with k.V among their dominators and
 // k.U among their two-hop dominators; each winner links to k.V and to
 // every triggering stage-1 winner it can hear.
-func recordStage2(view View, cl *cluster.Result, k KeyID, stage1Winners []int) *KeyRecord {
+func recordStage2(view cluster.View, cl *cluster.Result, k keyID, stage1Winners []int) *keyRecord {
 	if len(stage1Winners) == 0 {
 		return nil
 	}
@@ -149,7 +134,7 @@ func recordStage2(view View, cl *cluster.Result, k KeyID, stage1Winners []int) *
 		return nil
 	}
 	sort.Ints(cands)
-	rec := &KeyRecord{Cands: cands, Winners: electAmong(view, cands)}
+	rec := &keyRecord{Cands: cands, Winners: electAmong(view, cands)}
 	for _, x := range rec.Winners {
 		rec.Edges = append(rec.Edges, graph.MakeEdge(x, k.V))
 		for _, w := range triggers[x] {
@@ -159,9 +144,9 @@ func recordStage2(view View, cl *cluster.Result, k KeyID, stage1Winners []int) *
 	return rec
 }
 
-// SpliceDelta reports what installing a record changed in the aggregated
+// spliceDelta reports what installing a record changed in the aggregated
 // election state.
-type SpliceDelta struct {
+type spliceDelta struct {
 	// AddedEdges and RemovedEdges are CDS edge-set transitions: edges whose
 	// reference count crossed zero. A caller maintaining a CDS graph applies
 	// each delta immediately, removals before additions.
@@ -177,75 +162,39 @@ type SpliceDelta struct {
 // node, stage-1 wins per node, election-win counts, and the CDS edge
 // multiset.
 type Witness struct {
-	records   map[KeyID]*KeyRecord
-	byNode    map[int]map[KeyID]struct{} // keys where the node is a candidate
-	stage1Won map[int]map[KeyID]struct{} // stage-1 keys the node currently wins
+	records   map[keyID]*keyRecord
+	byNode    map[int]map[keyID]struct{} // keys where the node is a candidate
+	stage1Won map[int]map[keyID]struct{} // stage-1 keys the node currently wins
 	wins      map[int]int                // elections won per node
 	edgeRef   map[graph.Edge]int         // CDS path-edge reference counts
 }
 
-// NewWitness returns an empty witness.
-func NewWitness() *Witness {
+func newWitness() *Witness {
 	return &Witness{
-		records:   make(map[KeyID]*KeyRecord),
-		byNode:    make(map[int]map[KeyID]struct{}),
-		stage1Won: make(map[int]map[KeyID]struct{}),
+		records:   make(map[keyID]*keyRecord),
+		byNode:    make(map[int]map[keyID]struct{}),
+		stage1Won: make(map[int]map[keyID]struct{}),
 		wins:      make(map[int]int),
 		edgeRef:   make(map[graph.Edge]int),
 	}
 }
 
-// Record returns the current record of k, nil when the key does not exist.
-func (w *Witness) Record(k KeyID) *KeyRecord { return w.records[k] }
-
-// Stage1Winners returns the current winner set of the stage-1 key (u, v),
+// stage1Winners returns the current winner set of the stage-1 key (u, v),
 // nil when it does not exist.
-func (w *Witness) Stage1Winners(u, v int) []int {
-	if rec := w.records[KeyID{U: u, V: v, Stage: 1}]; rec != nil {
+func (w *Witness) stage1Winners(u, v int) []int {
+	if rec := w.records[keyID{U: u, V: v, Stage: 1}]; rec != nil {
 		return rec.Winners
 	}
 	return nil
 }
 
-// KeysOf returns every key where v is currently a candidate.
-func (w *Witness) KeysOf(v int) []KeyID {
-	set := w.byNode[v]
-	if len(set) == 0 {
-		return nil
-	}
-	out := make([]KeyID, 0, len(set))
-	for k := range set {
-		out = append(out, k)
-	}
-	return out
-}
-
-// Stage1WonBy returns the stage-1 keys v currently wins.
-func (w *Witness) Stage1WonBy(v int) []KeyID {
-	set := w.stage1Won[v]
-	if len(set) == 0 {
-		return nil
-	}
-	out := make([]KeyID, 0, len(set))
-	for k := range set {
-		out = append(out, k)
-	}
-	return out
-}
-
-// IsConnector reports whether v currently wins any election.
-func (w *Witness) IsConnector(v int) bool { return w.wins[v] > 0 }
-
-// Keys counts live records (testing/diagnostics).
-func (w *Witness) Keys() int { return len(w.records) }
-
-// Splice installs rec as the record of k (nil or empty removes the key),
+// splice installs rec as the record of k (nil or empty removes the key),
 // maintaining every index, and reports what changed.
-func (w *Witness) Splice(k KeyID, rec *KeyRecord) SpliceDelta {
+func (w *Witness) splice(k keyID, rec *keyRecord) spliceDelta {
 	if rec != nil && len(rec.Cands) == 0 {
 		rec = nil
 	}
-	var delta SpliceDelta
+	var delta spliceDelta
 	old := w.records[k]
 	if old != nil {
 		for _, e := range old.Edges {
@@ -287,7 +236,7 @@ func (w *Witness) Splice(k KeyID, rec *KeyRecord) SpliceDelta {
 		for _, v := range rec.Cands {
 			set := w.byNode[v]
 			if set == nil {
-				set = make(map[KeyID]struct{})
+				set = make(map[keyID]struct{})
 				w.byNode[v] = set
 			}
 			set[k] = struct{}{}
@@ -297,7 +246,7 @@ func (w *Witness) Splice(k KeyID, rec *KeyRecord) SpliceDelta {
 			if k.Stage == 1 {
 				set := w.stage1Won[v]
 				if set == nil {
-					set = make(map[KeyID]struct{})
+					set = make(map[keyID]struct{})
 					w.stage1Won[v] = set
 				}
 				set[k] = struct{}{}
@@ -312,44 +261,36 @@ func (w *Witness) Splice(k KeyID, rec *KeyRecord) SpliceDelta {
 	case old == nil || rec == nil:
 		delta.WinnersChanged = true
 	default:
-		delta.WinnersChanged = !equalInts(old.Winners, rec.Winners)
+		delta.WinnersChanged = !slices.Equal(old.Winners, rec.Winners)
 	}
 	return delta
 }
 
-func equalInts(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
+// isConnector flags, per node of an n-node network, whether it currently
+// wins an election.
+func (w *Witness) isConnector(n int) []bool {
+	flags := make([]bool, n)
+	for v, c := range w.wins {
+		flags[v] = c > 0
 	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+	return flags
 }
 
-// Assemble builds the Result graphs from the witness's aggregated state —
+// assemble builds the Result graphs from the witness's aggregated state —
 // the same construction Centralized performs from its elected sets, so a
 // witness maintained by exact splices yields a Result bit-identical to a
 // from-scratch election.
-func (w *Witness) Assemble(g *graph.Graph, cl *cluster.Result) *Result {
-	isConnector := make([]bool, g.N())
-	for v, c := range w.wins {
-		if c > 0 {
-			isConnector[v] = true
-		}
-	}
+func (w *Witness) assemble(g *graph.Graph, cl *cluster.Result) *Result {
 	edges := make([]graph.Edge, 0, len(w.edgeRef))
 	for e := range w.edgeRef {
 		edges = append(edges, e)
 	}
-	return assemble(g, cl, isConnector, edges)
+	return assemble(g, cl, w.isConnector(g.N()), edges)
 }
 
-// SortKeyIDs orders keys by (U, V, Stage) — the deterministic iteration
+// sortKeyIDs orders keys by (U, V, Stage) — the deterministic iteration
 // order of dirty-key sets.
-func SortKeyIDs(keys []KeyID) {
+func sortKeyIDs(keys []keyID) {
 	sort.Slice(keys, func(i, j int) bool {
 		if keys[i].U != keys[j].U {
 			return keys[i].U < keys[j].U
@@ -367,7 +308,143 @@ func SortKeyIDs(keys []KeyID) {
 // each record into the witness, whose aggregated records then assemble
 // the Result. g is the alive unit disk graph (dead nodes isolated).
 func CentralizedWitness(g *graph.Graph, cl *cluster.Result) (*Result, *Witness) {
-	wit := NewWitness()
-	electAll(graphView{g}, cl, Options{}, func(k KeyID, rec *KeyRecord) { wit.Splice(k, rec) })
-	return wit.Assemble(g, cl), wit
+	wit := newWitness()
+	electAll(cluster.GraphView(g), cl, Options{}, func(k keyID, rec *keyRecord) { wit.splice(k, rec) })
+	return wit.assemble(g, cl), wit
+}
+
+// Patch brings res, the Result this witness backs, current after a
+// topology change and returns the sorted nodes whose backbone membership
+// or ICDS row changed — the dirty set ldel's Witness.Patch revisits. cl
+// is the current clustering over view, a dead node an isolated dominatee.
+// scope must hold every node whose liveness, adjacency, or clustering
+// entry changed, together with its alive neighbors before and after the
+// change; moved lists the nodes whose position changed.
+//
+// Patch re-runs every election a scope node witnessed or now proposes
+// for (stages 0 and 1), then every stage-2 election downstream of a
+// changed stage-1 winner set, witnessed by a scope node, or newly
+// answerable by one; it splices each record and applies its CDS delta at
+// once, since a later key may re-add an edge an earlier one dropped.
+// ICDS rows are rebuilt for the nodes that leave or join the backbone and
+// for moved members, whose induced edges changed with their position;
+// the membership lists and primed graphs are derived as assemble derives
+// them.
+func (w *Witness) Patch(view cluster.View, cl *cluster.Result, res *Result, scope, moved []int) []int {
+	dirty := make(map[keyID]bool)
+	for _, v := range scope {
+		for k := range w.byNode[v] {
+			if k.Stage < 2 {
+				dirty[k] = true
+			}
+		}
+		if cl.Status[v] == cluster.Dominatee {
+			proposalKeys(cl.DominatorsOf[v], cl.TwoHopDominators[v], Options{}, func(k keyID) { dirty[k] = true })
+		}
+	}
+	changed1 := w.resplice(view, cl, res.CDS, dirty)
+
+	dirty = make(map[keyID]bool, len(changed1))
+	for _, k := range changed1 {
+		dirty[keyID{U: k.U, V: k.V, Stage: 2}] = true
+	}
+	for _, v := range scope {
+		for k := range w.byNode[v] {
+			if k.Stage == 2 {
+				dirty[k] = true
+			}
+		}
+		if cl.Status[v] != cluster.Dominatee {
+			continue
+		}
+		for _, x := range view.AliveNeighbors(v) {
+			for k1 := range w.stage1Won[x] {
+				if contains(cl.DominatorsOf[v], k1.V) && contains(cl.TwoHopDominators[v], k1.U) {
+					dirty[keyID{U: k1.U, V: k1.V, Stage: 2}] = true
+				}
+			}
+		}
+	}
+	w.resplice(view, cl, res.CDS, dirty)
+
+	was := res.InBackbone
+	res.setMembers(cl, w.isConnector(len(was)))
+	now := res.InBackbone
+	icds := res.ICDS
+	touched := make(map[int]bool)
+	leave := func(v int) {
+		touched[v] = true
+		for _, u := range slices.Clone(icds.Neighbors(v)) {
+			icds.RemoveEdge(v, u)
+			touched[u] = true
+		}
+	}
+	join := func(v int) {
+		touched[v] = true
+		for _, u := range view.AliveNeighbors(v) {
+			if now[u] {
+				icds.AddEdge(v, u)
+				touched[u] = true
+			}
+		}
+	}
+	// Every leave runs before any join, so no join links to a row that a
+	// later leave would clear.
+	for v := range was {
+		if was[v] && !now[v] {
+			leave(v)
+		}
+	}
+	for _, v := range moved {
+		if was[v] && now[v] {
+			leave(v)
+		}
+	}
+	for v := range now {
+		if now[v] && !was[v] {
+			join(v)
+		}
+	}
+	for _, v := range moved {
+		if was[v] && now[v] {
+			join(v)
+		}
+	}
+	res.setPrimes()
+
+	out := make([]int, 0, len(touched))
+	for v := range touched {
+		out = append(out, v)
+	}
+	sort.Ints(out)
+	return out
+}
+
+// resplice re-decides the keys of dirty in key order, splicing each record
+// and applying its CDS delta to cds, and returns the stage-1 keys whose
+// winner set changed.
+func (w *Witness) resplice(view cluster.View, cl *cluster.Result, cds *graph.Graph, dirty map[keyID]bool) []keyID {
+	keys := make([]keyID, 0, len(dirty))
+	for k := range dirty {
+		keys = append(keys, k)
+	}
+	sortKeyIDs(keys)
+	var changed []keyID
+	for _, k := range keys {
+		var s1 []int
+		if k.Stage == 2 {
+			s1 = w.stage1Winners(k.U, k.V)
+		}
+		delta := w.splice(k, recomputeRecord(view, cl, k, s1))
+		for _, e := range delta.RemovedEdges {
+			cds.RemoveEdge(e.U, e.V)
+		}
+		for _, e := range delta.AddedEdges {
+			cds.AddEdge(e.U, e.V)
+		}
+		if k.Stage == 1 && delta.WinnersChanged {
+			changed = append(changed, k)
+		}
+	}
+	return changed
 }

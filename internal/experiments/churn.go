@@ -168,8 +168,8 @@ func churnPass(inst *udg.Instance, radius float64, prof serve.Profile, cfg Confi
 }
 
 // churnOne runs the campaign for one (profile, n) cell: a short baseline
-// pass with witness patching disabled (the "before" recompute ratio and
-// throughput), then the full measured pass with patching at its default
+// pass with a negative scope cap, so every structural epoch rebuilds from
+// scratch (the "before" recompute ratio and throughput), then the full measured pass with patching at its default
 // scope cap.
 func churnOne(tb *stats.Table, n int, prof serve.Profile, cfg Config) error {
 	radius := scaleRadius(n, cfg.Region)

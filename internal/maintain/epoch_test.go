@@ -144,9 +144,9 @@ func TestChurnBatchesMatchRebuild(t *testing.T) {
 // changed nothing.
 func TestRejectedEventsDoNotInvalidateCaches(t *testing.T) {
 	s := newState(t, 21, 80)
-	// Disable witness patching so every applied structural event costs a
-	// recompute — the assertions below then count exactly which events
-	// touched the caches, independent of patch-scope thresholds.
+	// A negative scope cap rebuilds on every applied structural event —
+	// the assertions below then count exactly which events touched the
+	// caches, independent of patch-scope thresholds.
 	s.PatchScopeFraction = -1
 	if _, _, err := s.Structures(); err != nil {
 		t.Fatal(err)

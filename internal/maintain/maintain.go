@@ -10,12 +10,18 @@
 //   - when a node recovers, it joins as a dominatee if any neighbor
 //     dominates it and as a dominator otherwise.
 //
-// The derived structures (connectors, induced graphs, LDel planarization)
-// are then recomputed from the repaired roles — in a deployment that is a
-// constant-message local protocol per the paper's bounds; here the package
-// tracks role churn as the locality measure, and tests assert that every
-// invariant (independence, domination, CDS connectivity, planarity,
-// spanning) survives arbitrary failure/recovery sequences.
+// The derived state — the clustering's dominator lists, the connectors and
+// induced graphs, the LDel planarization — is brought current by one
+// incremental mechanism: each event grows a dirty scope, and the next
+// Clustering or Structures call widens it by one hop and hands it to each
+// layer's own update (cluster's Rederive, connector's and ldel's
+// Witness.Patch), which re-run only the decisions inside it. A scope past
+// the cap takes the from-scratch path instead. Either way the result is
+// bit-identical to a rebuild from the repaired roles; in a deployment the
+// same locality makes it a constant-message local protocol per the
+// paper's bounds. Tests assert that every invariant (independence,
+// domination, CDS connectivity, planarity, spanning) survives arbitrary
+// failure/recovery sequences.
 package maintain
 
 import (
@@ -55,38 +61,38 @@ type State struct {
 	RoleChanges int
 
 	// Recomputes counts full backbone recomputations performed by
-	// Structures. With witness patching enabled (the default), structural
-	// events accumulate a dirty scope and Structures splices a patch into
-	// the cached structures instead — counted in Patches, not here — so
-	// recompute_ratio (Recomputes per epoch) stays well below 1.0 under
-	// churn.
+	// Structures. Structural events accumulate a dirty scope and, under
+	// the scope cap, Structures splices a patch into the cached structures
+	// instead — counted in Patches, not here — so recompute_ratio
+	// (Recomputes per epoch) stays well below 1.0 under churn.
 	Recomputes int
 
-	// Patches counts Structures calls that serviced the accumulated
-	// events by witness-scoped patching (bit-identical to a rebuild).
+	// Patches counts the times cached structures absorbed the accumulated
+	// events by witness-scoped patching (bit-identical to a rebuild) — at
+	// the first Structures or Clustering call after them.
 	Patches int
 
 	// PatchFallbacks counts patches abandoned because the dirty scope
-	// exceeded PatchScopeFraction of the alive nodes; each such call also
-	// counts in Recomputes.
+	// exceeded PatchScopeFraction of the alive nodes; the Structures call
+	// that follows also counts in Recomputes.
 	PatchFallbacks int
 
 	// PatchScopeFraction bounds the witness patch scope as a fraction of
-	// alive nodes: 0 selects DefaultPatchScopeFraction, negative disables
-	// witness patching entirely (events drop the caches — the measurement
-	// baseline).
+	// alive nodes: 0 selects DefaultPatchScopeFraction, negative always
+	// rebuilds from scratch (the measurement baseline).
 	PatchScopeFraction float64
 
-	// Cached derived structures; nil when stale. Clustering and
-	// Structures return the cached objects, so callers must treat the
-	// results as read-only.
+	// Cached derived structures; nil when not built yet or dropped. A
+	// cached clustering may stand alone; cached structures always come
+	// with their clustering. Clustering and Structures return the cached
+	// objects, so callers must treat the results as read-only.
 	cachedCl   *cluster.Result
 	cachedConn *connector.Result
 	cachedLDel *graph.Graph
 
 	// Election witnesses backing the cached structures (nil whenever the
-	// caches are), plus the dirty scope accumulated since the last
-	// Structures call.
+	// structures are), plus the dirty scope seeds and relocated nodes
+	// accumulated since the caches were last brought current.
 	wit          *connector.Witness
 	ldwit        *ldel.Witness
 	pending      map[int]bool
@@ -172,24 +178,14 @@ func (s *State) Fail(v int) ([]int, error) {
 	}
 	wasDominator := s.status[v] == cluster.Dominator
 	s.alive[v] = false
-
+	s.noteScope(v)
 	if !wasDominator {
 		// Dominatees and connectors carry no coverage responsibility, so
-		// no roles change. The clustering cache absorbs the failure in
-		// place; the derived structures are repaired at the next
-		// Structures call by re-running the elections v witnessed — a dead
-		// losing candidate can unblock a larger-ID winner, so even a
-		// non-backbone failure can move a distant-looking election
-		// (DESIGN.md §14).
-		s.patchFail(v)
-		s.noteScope(v)
+		// no roles change. The scope still matters: a dead losing
+		// candidate can unblock a larger-ID winner, so even a non-backbone
+		// failure can move a distant-looking election (DESIGN.md §14).
 		return nil, nil
 	}
-	// A dominator failure changes coverage: rebuild the clustering cache
-	// fresh (cheap — roles are maintained in s.status) and scope the
-	// derived-structure patch to the failure and its promotions.
-	s.cachedCl = nil
-
 	// Only v's alive dominatee neighbors can become uncovered. Promote the
 	// uncovered ones in ID order; each promotion may cover later ones.
 	var uncovered []int
@@ -208,7 +204,6 @@ func (s *State) Fail(v int) ([]int, error) {
 		changed = append(changed, w)
 	}
 	s.RoleChanges += len(changed)
-	s.noteScope(v)
 	for _, w := range changed {
 		s.noteScope(w)
 	}
@@ -235,142 +230,58 @@ func (s *State) Recover(v int) ([]int, error) {
 	} else {
 		s.status[v] = cluster.Dominator
 	}
+	// Every rejoin is scoped the same way: v's new role (or, as a
+	// dominator, its need for fresh connectors) and its candidacy can only
+	// change decisions within reach of v.
+	s.noteScope(v)
 	if s.status[v] != old {
-		// v's own role changed: rebuild the clustering cache fresh and
-		// scope the derived-structure patch to v's two-hop ball — every
-		// election v's new role can reach is re-run there.
-		s.cachedCl = nil
-		s.noteScope(v)
 		s.RoleChanges++
 		return []int{v}, nil
-	}
-	if s.status[v] == cluster.Dominator {
-		// A dominator rejoining changes no role but reshapes the backbone
-		// (it must be reconnected by fresh connectors) — same scoped patch.
-		s.cachedCl = nil
-		s.noteScope(v)
-	} else {
-		// A covered dominatee rejoining: the clustering cache is patched
-		// exactly (the local formulas equal the full derivation), and the
-		// derived structures are patched at the next Structures call by
-		// re-running every election within v's witness scope — the
-		// rejoining candidate can only change elections it can reach.
-		s.patchRecover(v)
-		s.noteScope(v)
 	}
 	return nil, nil
 }
 
-// patchFail updates the cached clustering for the failure of a
-// role-neutral node v: v loses its coverage links and drops out of the
-// two-hop views of its neighbors. The derived structures are repaired by
-// the witness patch at the next Structures call.
-func (s *State) patchFail(v int) {
-	if s.cachedCl == nil {
-		return
-	}
-	cl := s.cachedCl
-	cl.Status[v] = cluster.Dominatee // failed-node convention of Clustering
-	cl.DominatorsOf[v] = nil
-	cl.TwoHopDominators[v] = nil
-	for _, x := range s.aliveNeighbors(v) {
-		cl.TwoHopDominators[x] = s.twoHopOf(cl, x)
-	}
+// isDominator reports whether v is an alive dominator.
+func (s *State) isDominator(v int) bool {
+	return s.alive[v] && s.status[v] == cluster.Dominator
 }
 
-// patchRecover updates the cached clustering for a node rejoining as a
-// covered dominatee with its old role: it regains its dominator links and
-// reappears in its neighbors' two-hop views. With no clustering cache to
-// patch there is nothing to do — Clustering re-derives the canonical
-// result from the maintained roles, and the derived structures are
-// repaired against it by the witness patch at the next Structures call.
-func (s *State) patchRecover(v int) {
-	if s.cachedCl == nil {
-		return
+// dominators flags every alive dominator.
+func (s *State) dominators() []bool {
+	isDom := make([]bool, len(s.status))
+	for v := range isDom {
+		isDom[v] = s.isDominator(v)
 	}
-	cl := s.cachedCl
-	cl.Status[v] = cluster.Dominatee
-	var doms []int
-	for _, u := range s.aliveNeighbors(v) {
-		if s.status[u] == cluster.Dominator {
-			doms = append(doms, u)
-		}
-	}
-	sort.Ints(doms)
-	cl.DominatorsOf[v] = doms
-	cl.TwoHopDominators[v] = s.twoHopOf(cl, v)
-	for _, x := range s.aliveNeighbors(v) {
-		cl.TwoHopDominators[x] = s.twoHopOf(cl, x)
-	}
-}
-
-// twoHopOf derives node x's two-hop dominator list from the maintained
-// roles — the same formula Clustering uses, localized to one node.
-func (s *State) twoHopOf(cl *cluster.Result, x int) []int {
-	two := make(map[int]bool)
-	for _, w := range s.aliveNeighbors(x) {
-		for _, u := range cl.DominatorsOf[w] {
-			if u != x && !s.full.HasEdge(u, x) {
-				two[u] = true
-			}
-		}
-	}
-	if len(two) == 0 {
-		return nil
-	}
-	list := make([]int, 0, len(two))
-	for u := range two {
-		list = append(list, u)
-	}
-	sort.Ints(list)
-	return list
+	return isDom
 }
 
 // Clustering derives the full cluster.Result (dominator lists, two-hop
 // dominator lists) from the maintained roles over the alive subgraph
 // (cluster.Derive; a failed node is an isolated dominatee with no links).
-// The result is cached — and patched in place by role-neutral events — so
-// callers must treat it as read-only.
+// The result is cached and brought current in place by the next call
+// after events (see refresh), so callers must treat it as read-only.
 func (s *State) Clustering() *cluster.Result {
-	if s.cachedCl != nil {
-		return s.cachedCl
+	s.refresh()
+	if s.cachedCl == nil {
+		s.cachedCl = cluster.Derive(s.AliveGraph(), s.dominators())
 	}
-	isDom := make([]bool, len(s.status))
-	for v := range isDom {
-		isDom[v] = s.alive[v] && s.status[v] == cluster.Dominator
-	}
-	s.cachedCl = cluster.Derive(s.AliveGraph(), isDom)
 	return s.cachedCl
 }
 
 // Structures returns the derived backbone structures (connectors, CDS
-// family, planar LDel) for the maintained roles. With witness patching
-// enabled (the default), events since the last call accumulate a dirty
-// scope and this call re-runs only the elections inside it, splicing the
-// results into the cached structures — bit-identical to a from-scratch
-// rebuild, counted in Patches. The full rebuild runs when there are no
-// caches yet, when the scope exceeds PatchScopeFraction of the alive
-// nodes (counted in PatchFallbacks), or when patching is disabled;
-// it counts in Recomputes. Results are cached: treat them as read-only.
+// family, planar LDel) for the maintained roles. Events since the last
+// call accumulate a dirty scope, and this call re-runs only the decisions
+// inside it, splicing the results into the cached structures —
+// bit-identical to a from-scratch rebuild, counted in Patches. The full
+// rebuild runs when there are no caches yet or when the scope exceeds
+// PatchScopeFraction of the alive nodes (counted in PatchFallbacks); it
+// counts in Recomputes. Results are cached: treat them as read-only.
 func (s *State) Structures() (*connector.Result, *graph.Graph, error) {
-	cl := s.Clustering()
-	if s.cachedConn != nil && s.cachedLDel != nil {
-		if !s.hasPendingWork() {
-			s.pendingReloc = nil // any relocations were dead-node geometry
-			return s.cachedConn, s.cachedLDel, nil
-		}
-		if s.wit != nil && s.ldwit != nil && s.tryPatch(cl) {
-			s.Patches++
-			s.clearPending()
-			return s.cachedConn, s.cachedLDel, nil
-		}
+	s.refresh()
+	if s.cachedConn != nil {
+		return s.cachedConn, s.cachedLDel, nil
 	}
-	conn, pldel, err := s.structures(cl)
-	if err != nil {
-		return nil, nil, err
-	}
-	s.clearPending()
-	return conn, pldel, nil
+	return s.rebuild()
 }
 
 // CheckInvariants verifies the maintained clustering: dominators form an

@@ -330,36 +330,78 @@ func TestStructuresCachedAcrossNeutralEvents(t *testing.T) {
 	}
 }
 
-// TestPatchedClusteringMatchesFresh: the in-place patches of role-neutral
-// fail/recover events must leave the cached clustering exactly equal to a
-// fresh derivation from the maintained roles.
+// TestPatchedClusteringMatchesFresh: events only grow the dirty scope,
+// and the next call re-derives the cached clustering over it in place.
+// Multi-event batches — alive and dead moves, dominatee and dominator
+// failures, rejoins — must leave it equal to a full cluster.Derive from
+// the maintained roles, on a cache primed by Clustering alone and on one
+// primed by Structures. With the scope uncapped the cached Result is
+// never replaced, dominator failures included.
 func TestPatchedClusteringMatchesFresh(t *testing.T) {
-	s := newState(t, 8, 80)
-	s.Clustering() // prime the cache
-	r := rand.New(rand.NewSource(4))
-	dead := map[int]bool{}
-	for step := 0; step < 120; step++ {
-		v := r.Intn(80)
-		var err error
-		if dead[v] {
-			_, err = s.Recover(v)
-			delete(dead, v)
-		} else {
-			if len(dead) > 15 {
-				continue
+	for _, primed := range []string{"clustering", "structures"} {
+		t.Run(primed, func(t *testing.T) {
+			s := newState(t, 8, 80)
+			s.PatchScopeFraction = 1
+			if primed == "structures" {
+				if _, _, err := s.Structures(); err != nil {
+					t.Fatal(err)
+				}
 			}
-			_, err = s.Fail(v)
-			dead[v] = true
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		patched := s.Clustering()
-		s.invalidate()
-		fresh := s.Clustering()
-		if !reflect.DeepEqual(patched, fresh) {
-			t.Fatalf("step %d: patched clustering diverged from fresh derivation", step)
-		}
+			cached := s.Clustering()
+			rng := rand.New(rand.NewSource(4))
+			dead, domFails, moves := 0, 0, 0
+			for batch := 0; batch < 40; batch++ {
+				for i := 0; i < 2+rng.Intn(4); i++ {
+					v := rng.Intn(s.N())
+					to := s.Positions()[v]
+					to.X = min(max(to.X+(rng.Float64()*2-1)*30, 0), 200)
+					to.Y = min(max(to.Y+(rng.Float64()*2-1)*30, 0), 200)
+					var err error
+					switch {
+					case rng.Intn(3) == 0:
+						_, err = s.Move(v, to)
+						moves++
+					case !s.Alive(v):
+						_, err = s.Recover(v)
+						dead--
+					case dead < 15:
+						if s.Status(v) == cluster.Dominator {
+							domFails++
+						}
+						_, err = s.Fail(v)
+						dead++
+					}
+					if err != nil {
+						t.Fatal(err)
+					}
+				}
+				got := s.Clustering()
+				if got != cached {
+					t.Fatalf("batch %d: the cached clustering was replaced, not patched", batch)
+				}
+				alive, status := s.Roles()
+				isDom := make([]bool, len(status))
+				for v := range isDom {
+					isDom[v] = alive[v] && status[v] == cluster.Dominator
+				}
+				if want := cluster.Derive(s.AliveGraph(), isDom); !reflect.DeepEqual(got, want) {
+					t.Fatalf("batch %d: patched clustering diverged from a fresh derivation", batch)
+				}
+			}
+			if domFails == 0 || moves == 0 {
+				t.Fatalf("%d dominator failures, %d moves: the sweep is vacuous", domFails, moves)
+			}
+			if primed == "structures" {
+				conn, pldel, err := s.Structures()
+				if err != nil {
+					t.Fatal(err)
+				}
+				assertMatchesRebuild(t, s, conn, pldel)
+				if s.Recomputes != 1 {
+					t.Fatalf("Recomputes = %d, want 1 (every batch patched)", s.Recomputes)
+				}
+			}
+		})
 	}
 }
 

@@ -97,10 +97,10 @@ func WithWALRetry(retries int, backoff time.Duration) Option {
 // alive nodes a batch's witness scope may reach before the epoch falls
 // back to a full structure recompute
 // (maintain.DefaultPatchScopeFraction by default; 1 patches everything;
-// negative disables witness patching entirely — the measurement
-// baseline). The knob never changes the published topology — a patched
-// epoch is bit-identical to a from-scratch rebuild — only how much work
-// each epoch does.
+// negative rebuilds every structural epoch from scratch — the
+// measurement baseline). The knob never changes the published topology
+// — a patched epoch is bit-identical to a from-scratch rebuild — only how
+// much work each epoch does.
 func WithPatchScope(f float64) Option {
 	return func(s *Server) { s.patchScope = f }
 }
@@ -114,8 +114,8 @@ func WithPatchScope(f float64) Option {
 // append, checkpoint every wal.DefaultSnapshotEvery epochs.
 func WithWAL(dir string) Option { return func(s *Server) { s.walDir = dir } }
 
-// WithWALConfig is WithWAL with explicit log tuning (fsync batching,
-// snapshot cadence) — the knob tests and experiments use.
+// WithWALConfig is WithWAL with explicit log tuning (snapshot cadence,
+// segment rotation, filesystem) — the knob tests and experiments use.
 func WithWALConfig(dir string, cfg wal.Config) Option {
 	return func(s *Server) { s.walDir, s.walCfg = dir, cfg }
 }
@@ -498,10 +498,10 @@ type EpochStats struct {
 	// in place — the "skip the recompute" contract).
 	Recomputed bool
 	// Patched reports that a witness-scoped patch spliced this epoch's
-	// events into the cached structures (the tentpole path: election
-	// re-runs confined to the events' witness scope, output bit-identical
-	// to a rebuild). False with Recomputed false means the batch was pure
-	// no-ops and the caches were simply reused.
+	// events into the cached structures: clustering, connector, and LDel
+	// decisions re-run only inside the events' scope, output bit-identical
+	// to a rebuild. False with Recomputed false means the batch changed
+	// nothing the caches hold and they were simply reused.
 	Patched bool
 	// WallNS is the wall time of the whole apply (events + derivation +
 	// snapshot build).

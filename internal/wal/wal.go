@@ -8,17 +8,17 @@
 //	snap-<seq>.snap   checkpoint of maintain.State at epoch <seq>
 //	wal-<base>.log    epoch records with sequence numbers > <base>
 //
-// Append writes one record per epoch and fsyncs every Config.SyncEvery
-// appends (1 by default: an epoch acknowledged is an epoch durable).
-// The active segment rotates once it reaches Config.SegmentBytes (or
-// SegmentEpochs records): appends move to a fresh wal-<last>.log so no
-// single file grows unboundedly. Every Config.SnapshotEvery epochs the
-// log compacts: it checkpoints the state, starts a fresh segment, and
-// applies the retention rule — a closed segment is deleted only once a
-// durable snapshot covers every record in it (a segment's records all
-// precede its successor's base, so wal-b is deletable exactly when the
-// next segment's base is <= the snapshot seq). The directory therefore
-// stays bounded by the churn of one snapshot interval.
+// Append writes one record per epoch and fsyncs it before returning: an
+// epoch acknowledged is an epoch durable. The active segment rotates once
+// it reaches Config.SegmentBytes (or SegmentEpochs records): appends move
+// to a fresh wal-<last>.log so no single file grows unboundedly. Every
+// Config.SnapshotEvery epochs the log compacts: it checkpoints the state,
+// starts a fresh segment, and applies the retention rule — a closed
+// segment is deleted only once a durable snapshot covers every record in
+// it (a segment's records all precede its successor's base, so wal-b is
+// deletable exactly when the next segment's base is <= the snapshot seq).
+// The directory therefore stays bounded by the churn of one snapshot
+// interval.
 //
 // Recover loads the newest valid snapshot and replays every segment in
 // base order, skipping records the snapshot already covers and enforcing
@@ -54,9 +54,6 @@ import (
 
 // Log configuration defaults.
 const (
-	// DefaultSyncEvery fsyncs every append: an acknowledged epoch is a
-	// durable epoch.
-	DefaultSyncEvery = 1
 	// DefaultSnapshotEvery compacts the log every 64 epochs.
 	DefaultSnapshotEvery = 64
 	// DefaultSegmentBytes rotates the active segment at 4 MiB.
@@ -70,13 +67,9 @@ var ErrExists = errors.New("wal: directory already contains a log; recover it in
 // snapshot.
 var ErrNoLog = errors.New("wal: no snapshot found")
 
-// Config tunes the log's durability/throughput trade-offs. The zero
-// value means the defaults.
+// Config tunes the log's compaction and segment rotation and names the
+// filesystem it runs on. The zero value means the defaults.
 type Config struct {
-	// SyncEvery fsyncs after every k-th append (default 1). Raising it
-	// batches fsyncs at the cost of the tail of unsynced epochs on an OS
-	// crash; a process crash alone loses nothing either way.
-	SyncEvery int
 	// SnapshotEvery compacts the log every k epochs (default 64; < 0
 	// disables compaction).
 	SnapshotEvery int
@@ -95,9 +88,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.SyncEvery <= 0 {
-		c.SyncEvery = DefaultSyncEvery
-	}
 	if c.SnapshotEvery == 0 {
 		c.SnapshotEvery = DefaultSnapshotEvery
 	}
@@ -116,19 +106,18 @@ type Log struct {
 	cfg Config
 	fs  FS
 
-	mu          sync.Mutex
-	f           File
-	frac        float64 // fallback fraction recorded in snapshots
-	snapSeq     uint64  // seq of the newest durable snapshot
-	base        uint64  // seq preceding the active segment's first record
-	last        uint64  // last appended (or replayed) seq
-	segBytes    int64
-	segRecords  int64
-	segCount    int
-	retained    int64 // closed segments + snapshots on disk, bytes
-	pendingSync int
-	tornTail    bool // suspect bytes past segBytes after a failed write/sync
-	lastSync    time.Time
+	mu         sync.Mutex
+	f          File
+	frac       float64 // fallback fraction recorded in snapshots
+	snapSeq    uint64  // seq of the newest durable snapshot
+	base       uint64  // seq preceding the active segment's first record
+	last       uint64  // last appended (or replayed) seq
+	segBytes   int64
+	segRecords int64
+	segCount   int
+	retained   int64 // closed segments + snapshots on disk, bytes
+	tornTail   bool  // suspect bytes past segBytes after a failed write/sync
+	lastSync   time.Time
 }
 
 // Stats is a point-in-time summary of the log, surfaced by the service's
@@ -390,8 +379,7 @@ func (l *Log) openSegment(base uint64) error {
 
 // Append logs one epoch batch. seq must be exactly one past the last
 // appended sequence — the log enforces the gap-free numbering recovery
-// relies on. The record is durable when Append returns, except under
-// SyncEvery batching, where it is durable within SyncEvery-1 appends.
+// relies on. The record is fsynced, hence durable, when Append returns.
 // A non-nil error means the record is NOT acknowledged: it will not
 // survive in the log, and the same seq must be retried (or the epoch
 // rejected). Append never acknowledges what the disk did not confirm.
@@ -432,19 +420,15 @@ func (l *Log) Append(seq uint64, events []maintain.Event) error {
 	l.last = seq
 	l.segBytes += int64(len(rec))
 	l.segRecords++
-	l.pendingSync++
-	if l.pendingSync >= l.cfg.SyncEvery {
-		if err := l.syncLocked(); err != nil {
-			// Written but never made durable: roll the record back so it
-			// is not acknowledged, and mark its bytes suspect (a failed
-			// fsync may have dropped any of them).
-			l.last = seq - 1
-			l.segBytes -= int64(len(rec))
-			l.segRecords--
-			l.pendingSync--
-			l.tornTail = true
-			return fmt.Errorf("wal: appending epoch %d: %w", seq, err)
-		}
+	if err := l.syncLocked(); err != nil {
+		// Written but never made durable: roll the record back so it is
+		// not acknowledged, and mark its bytes suspect (a failed fsync may
+		// have dropped any of them).
+		l.last = seq - 1
+		l.segBytes -= int64(len(rec))
+		l.segRecords--
+		l.tornTail = true
+		return fmt.Errorf("wal: appending epoch %d: %w", seq, err)
 	}
 	return nil
 }
@@ -683,13 +667,6 @@ func (l *Log) retainLocked() {
 	l.retained, l.segCount = total, count
 }
 
-// Sync forces any batched appends to disk.
-func (l *Log) Sync() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.syncLocked()
-}
-
 func (l *Log) syncLocked() error {
 	if l.f == nil {
 		return nil
@@ -697,7 +674,6 @@ func (l *Log) syncLocked() error {
 	if err := l.f.Sync(); err != nil {
 		return fmt.Errorf("wal: fsync: %w", err)
 	}
-	l.pendingSync = 0
 	l.lastSync = time.Now()
 	return nil
 }

@@ -42,8 +42,9 @@ type (
 	// KindStats is the cumulative applied/rejected split of one event kind
 	// in ServerStats.ByKind.
 	KindStats = serve.KindStats
-	// WALConfig tunes a server's write-ahead log (fsync batching,
-	// checkpoint cadence); the zero value means the durable defaults.
+	// WALConfig tunes a server's write-ahead log (checkpoint cadence,
+	// segment rotation); the zero value means the defaults. Every append
+	// is fsynced before the epoch is acknowledged.
 	WALConfig = wal.Config
 )
 
@@ -112,7 +113,7 @@ func NewServer(pts []Point, radius float64, opts ...ServerOption) (*Server, erro
 // exact pre-crash topology from the directory alone.
 func WithWAL(dir string) ServerOption { return serve.WithWAL(dir) }
 
-// WithWALTuning is WithWAL with explicit durability tuning.
+// WithWALTuning is WithWAL with explicit log tuning.
 func WithWALTuning(dir string, cfg WALConfig) ServerOption { return serve.WithWALConfig(dir, cfg) }
 
 // WithWALRetry bounds the storage-failure retry budget of a durable
@@ -132,14 +133,6 @@ var ErrServerDegraded = serve.ErrDegraded
 // epoch re-clusters from scratch. A recovered server must be given the
 // same fraction the crashed one ran with.
 func WithFallbackFraction(f float64) ServerOption { return serve.WithFallbackFraction(f) }
-
-// WithPatchScope overrides the witness-patch scope cap: the fraction of
-// alive nodes an epoch's witness scope may reach before maintenance
-// falls back to a full structure recompute (the package default caps it
-// at a quarter; 1 patches everything, negative disables patching). The
-// knob trades work for nothing else — a patched epoch is bit-identical
-// to a rebuilt one.
-func WithPatchScope(f float64) ServerOption { return serve.WithPatchScope(f) }
 
 // WithServerTracer attaches a structured-event sink to the service (one
 // epoch and one snapshot event per applied batch). It is the service-side
