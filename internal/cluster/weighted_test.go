@@ -2,37 +2,49 @@ package cluster
 
 import (
 	"math"
+	"math/rand"
 	"reflect"
 	"testing"
 
 	"geospanner/internal/udg"
 )
 
-func TestRunWeightedMatchesCentralized(t *testing.T) {
+// TestCentralizedWeightedRankRule checks the generic-weight rule directly:
+// a node is a dominator iff no neighbor of higher rank (higher weight, ties
+// to the smaller ID) is one. Degree weights tie often; random weights
+// rarely do.
+func TestCentralizedWeightedRankRule(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
 		inst, err := udg.ConnectedInstance(seed, 60, 200, 60, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		weights := DegreeWeights(inst.UDG)
-		dist, _, err := RunWeighted(inst.UDG, weights, 0)
-		if err != nil {
-			t.Fatal(err)
+		g := inst.UDG
+		rng := rand.New(rand.NewSource(seed))
+		random := make([]float64, g.N())
+		for v := range random {
+			random[v] = rng.Float64()
 		}
-		cent, err := CentralizedWeighted(inst.UDG, weights)
-		if err != nil {
-			t.Fatal(err)
+		for name, weights := range map[string][]float64{"degree": DegreeWeights(g), "random": random} {
+			cl, err := CentralizedWeighted(g, weights)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for v := 0; v < g.N(); v++ {
+				beaten := false
+				for _, u := range g.Neighbors(v) {
+					higher := weights[u] > weights[v] || (weights[u] == weights[v] && u < v)
+					if higher && cl.IsDominator(u) {
+						beaten = true
+					}
+				}
+				if cl.IsDominator(v) == beaten {
+					t.Fatalf("seed %d, %s weights: node %d dominator=%v, but a higher-ranked neighbor dominates=%v",
+						seed, name, v, cl.IsDominator(v), beaten)
+				}
+			}
+			assertValidClustering(t, g, cl)
 		}
-		if !reflect.DeepEqual(dist.Dominators, cent.Dominators) {
-			t.Fatalf("seed %d: dominators differ:\ndist %v\ncent %v", seed, dist.Dominators, cent.Dominators)
-		}
-		if !reflect.DeepEqual(dist.DominatorsOf, cent.DominatorsOf) {
-			t.Fatalf("seed %d: DominatorsOf differ", seed)
-		}
-		if !reflect.DeepEqual(dist.TwoHopDominators, cent.TwoHopDominators) {
-			t.Fatalf("seed %d: TwoHopDominators differ", seed)
-		}
-		assertValidClustering(t, inst.UDG, dist)
 	}
 }
 
@@ -76,12 +88,12 @@ func TestDegreeWeightsShrinkDominatorSet(t *testing.T) {
 	t.Logf("dominators over 15 instances: lowest-ID %d, degree-weighted %d", idTotal, degTotal)
 }
 
-func TestRunWeightedValidation(t *testing.T) {
+func TestCentralizedWeightedValidation(t *testing.T) {
 	inst, err := udg.ConnectedInstance(1, 10, 200, 100, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := RunWeighted(inst.UDG, []float64{1}, 0); err == nil {
+	if _, err := CentralizedWeighted(inst.UDG, []float64{1}); err == nil {
 		t.Fatal("wrong weight count accepted")
 	}
 	if _, err := CentralizedWeighted(inst.UDG, nil); err == nil {
@@ -89,9 +101,6 @@ func TestRunWeightedValidation(t *testing.T) {
 	}
 	nan := DegreeWeights(inst.UDG)
 	nan[3] = math.NaN()
-	if _, _, err := RunWeighted(inst.UDG, nan, 0); err == nil {
-		t.Fatal("RunWeighted accepted a NaN weight")
-	}
 	if _, err := CentralizedWeighted(inst.UDG, nan); err == nil {
 		t.Fatal("CentralizedWeighted accepted a NaN weight")
 	}

@@ -23,15 +23,27 @@
 //	still keep it. The surviving triangles plus the Gabriel edges form the
 //	planar graph PLDel.
 //
-// Both a distributed (message-passing, on internal/sim) and a centralized
-// reference implementation are provided; tests assert they agree.
+// Each rule is written once (rules.go): nodeDecisions is a node's
+// triangulation, Gabriel and proposal decision, removes the planarization
+// test for one pair of kept triangles, and assemble turns the kept and
+// surviving sets into a Result. Run drives the rules through message
+// passing on internal/sim: each node decides on the positions it heard,
+// and the propose/accept/reject exchange that settles the kept set, the
+// gossip and the remaining-triangle exchange stay the protocol's own. The
+// Witness runs the same rules without messages, over each node's k-hop
+// neighborhood, and settles the kept set with keptStatus; Centralized is
+// a fresh witness brought current over every node, and Patch brings it
+// current over a dirty set. Tests assert Run and
+// Centralized agree, and check the shared rules against oracles that do
+// not call them: a global Delaunay triangulation, brute-force Gabriel
+// edges, and hand-built triangle pairs planarization must remove or keep.
 package ldel
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
-	"geospanner/internal/delaunay"
 	"geospanner/internal/geom"
 	"geospanner/internal/graph"
 	"geospanner/internal/sim"
@@ -155,9 +167,8 @@ type node struct {
 	pos       map[int]geom.Point // known positions (self + heard)
 	fwdLoc    map[int]bool       // origins whose location we forwarded
 	fwdTri    map[int]bool       // origins whose triangle info we forwarded
-	gabriel   map[graph.Edge]bool
-	localTris map[TriKey]bool // triangles of own local Delaunay (incident)
-	mine      map[TriKey]bool // incident triangles with short edges
+	gabriel   []graph.Edge       // own Gabriel edges, sorted
+	mine      []TriKey           // incident local Delaunay triangles with short edges
 	proposers map[TriKey]map[int]bool
 	accepters map[TriKey]map[int]bool
 	responded map[TriKey]bool
@@ -175,9 +186,6 @@ func (n *node) Init(ctx *sim.Context) {
 	n.pos = map[int]geom.Point{n.id: ctx.Pos()}
 	n.fwdLoc = make(map[int]bool)
 	n.fwdTri = make(map[int]bool)
-	n.gabriel = make(map[graph.Edge]bool)
-	n.localTris = make(map[TriKey]bool)
-	n.mine = make(map[TriKey]bool)
 	n.proposers = make(map[TriKey]map[int]bool)
 	n.accepters = make(map[TriKey]map[int]bool)
 	n.responded = make(map[TriKey]bool)
@@ -269,8 +277,8 @@ func (n *node) Tick(ctx *sim.Context, round int) {
 
 func (n *node) Done() bool { return !n.active || n.round >= 2*n.k+3 }
 
-// computeLocal runs Algorithm 2 steps 2–4: local Delaunay triangulation,
-// Gabriel edges, and triangle proposals.
+// computeLocal runs Algorithm 2 steps 2–4 (nodeDecisions) on the positions
+// the node heard and broadcasts its proposals in triangulation order.
 func (n *node) computeLocal(ctx *sim.Context) {
 	ids := make([]int, 0, len(n.pos))
 	for id := range n.pos {
@@ -281,63 +289,14 @@ func (n *node) computeLocal(ctx *sim.Context) {
 	for i, id := range ids {
 		pts[i] = n.pos[id]
 	}
-	tri, err := delaunay.Triangulate(pts)
-	if err != nil {
-		// Distinct network nodes never collide; an error here would mean
-		// corrupted positions, in which case this node contributes no
-		// triangles and the pipeline degrades to its Gabriel edges.
-		tri = &delaunay.Triangulation{Points: pts}
-	}
-
-	r2 := n.radius * n.radius
-	short := func(a, b int) bool { return n.pos[a].Dist2(n.pos[b]) <= r2 }
-
-	// Gabriel edges (step 3): uv with the open diametral disk empty.
-	for _, v := range ctx.Neighbors() {
-		if _, ok := n.pos[v]; !ok || !short(n.id, v) {
-			continue
-		}
-		empty := true
-		for w, pw := range n.pos {
-			if w == n.id || w == v {
-				continue
-			}
-			if geom.InDiametralDisk(n.pos[n.id], n.pos[v], pw) {
-				empty = false
-				break
-			}
-		}
-		if empty {
-			n.gabriel[graph.MakeEdge(n.id, v)] = true
-		}
-	}
-
-	// Local triangles and proposals (step 4).
-	for _, t := range tri.Triangles {
-		a, b, c := ids[t.A], ids[t.B], ids[t.C]
-		key := NewTriKey(a, b, c)
-		if !key.Has(n.id) {
-			continue
-		}
-		n.localTris[key] = true
-		if !short(a, b) || !short(b, c) || !short(a, c) {
-			continue
-		}
-		n.mine[key] = true
-		// The corner angle at this node.
-		var v, w int
-		switch n.id {
-		case key[0]:
-			v, w = key[1], key[2]
-		case key[1]:
-			v, w = key[0], key[2]
-		default:
-			v, w = key[0], key[1]
-		}
-		if geom.AngleAt(n.pos[n.id], n.pos[v], n.pos[w]) >= geom.SixtyDegrees-angleSlack {
-			addTo(n.proposers, key, n.id)
-			ctx.Broadcast(MsgProposal{T: key})
-		}
+	// Distinct network nodes never collide; a triangulation error would
+	// mean corrupted positions, in which case this node contributes no
+	// triangles and the pipeline degrades to its Gabriel edges.
+	var proposed []TriKey
+	n.gabriel, n.mine, proposed, _ = nodeDecisions(n.id, ids, pts, n.radius*n.radius)
+	for _, t := range proposed {
+		addTo(n.proposers, t, n.id)
+		ctx.Broadcast(MsgProposal{T: t})
 	}
 }
 
@@ -350,7 +309,7 @@ func (n *node) respond(ctx *sim.Context) {
 			continue
 		}
 		n.responded[t] = true
-		if n.localTris[t] && n.mine[t] {
+		if slices.Contains(n.mine, t) {
 			ctx.Broadcast(MsgAccept{T: t})
 		} else {
 			ctx.Broadcast(MsgReject{T: t})
@@ -368,7 +327,7 @@ func (n *node) finalizeLDel(ctx *sim.Context) {
 		}
 		// This node itself must hold the triangle locally; the other two
 		// corners must each have proposed or accepted it.
-		if !n.localTris[t] || !n.mine[t] {
+		if !slices.Contains(n.mine, t) {
 			continue
 		}
 		ok := true
@@ -387,16 +346,6 @@ func (n *node) finalizeLDel(ctx *sim.Context) {
 		}
 	}
 
-	gab := make([]graph.Edge, 0, len(n.gabriel))
-	for e := range n.gabriel {
-		gab = append(gab, e)
-	}
-	sort.Slice(gab, func(i, j int) bool {
-		if gab[i].U != gab[j].U {
-			return gab[i].U < gab[j].U
-		}
-		return gab[i].V < gab[j].V
-	})
 	tris := sortedTriSet(n.kept)
 	pos := make(map[int]geom.Point)
 	for _, t := range tris {
@@ -404,7 +353,7 @@ func (n *node) finalizeLDel(ctx *sim.Context) {
 			pos[v] = n.pos[v]
 		}
 	}
-	ctx.Broadcast(MsgTriangles{Origin: n.id, Gabriel: gab, Triangles: tris, Pos: pos, TTL: n.k})
+	ctx.Broadcast(MsgTriangles{Origin: n.id, Gabriel: n.gabriel, Triangles: tris, Pos: pos, TTL: n.k})
 }
 
 // prune implements Algorithm 3 step 2: drop incident triangles whose
@@ -412,72 +361,36 @@ func (n *node) finalizeLDel(ctx *sim.Context) {
 // triangle, then broadcast the remainder (step 3).
 func (n *node) prune(ctx *sim.Context) {
 	for _, t1 := range sortedTriSet(n.kept) {
-		if !n.removedBy(t1, n.known) {
+		if !n.removedBy(t1) {
 			n.pruned[t1] = true
 		}
 	}
 	ctx.Broadcast(MsgRemaining{Triangles: sortedTriSet(n.pruned)})
 }
 
-// removedBy reports whether t1 must be discarded given the known triangle
-// set: some known triangle intersects t1 and has a vertex strictly inside
-// t1's circumcircle.
-func (n *node) removedBy(t1 TriKey, known map[TriKey]bool) bool {
-	a1, ok1 := n.pos[t1[0]]
-	b1, ok2 := n.pos[t1[1]]
-	c1, ok3 := n.pos[t1[2]]
-	if !ok1 || !ok2 || !ok3 {
+// removedBy reports whether some triangle the node heard of removes t1.
+func (n *node) removedBy(t1 TriKey) bool {
+	p1, ok := n.corners(t1)
+	if !ok {
 		return false
 	}
-	for t2 := range known {
-		if t2 == t1 {
-			continue
-		}
-		p2 := [3]geom.Point{}
-		missing := false
-		for i, v := range t2 {
-			p, ok := n.pos[v]
-			if !ok {
-				missing = true
-				break
-			}
-			p2[i] = p
-		}
-		if missing {
-			continue
-		}
-		if !trianglesIntersect([3]geom.Point{a1, b1, c1}, p2) {
-			continue
-		}
-		for i, v := range t2 {
-			if t1.Has(v) {
-				continue
-			}
-			if geom.InCircleCCW(a1, b1, c1, p2[i]) == geom.Positive {
-				return true
-			}
+	for t2 := range n.known {
+		if p2, ok := n.corners(t2); ok && removes(t1, p1, t2, p2) {
+			return true
 		}
 	}
 	return false
 }
 
-// trianglesIntersect reports whether any edge of one triangle properly
-// crosses an edge of the other.
-func trianglesIntersect(t1, t2 [3]geom.Point) bool {
-	e1 := [3]geom.Segment{
-		geom.Seg(t1[0], t1[1]), geom.Seg(t1[1], t1[2]), geom.Seg(t1[0], t1[2]),
-	}
-	e2 := [3]geom.Segment{
-		geom.Seg(t2[0], t2[1]), geom.Seg(t2[1], t2[2]), geom.Seg(t2[0], t2[2]),
-	}
-	for _, s1 := range e1 {
-		for _, s2 := range e2 {
-			if s1.CrossesProperly(s2) {
-				return true
-			}
+// corners returns the positions of t's vertices, if the node knows all
+// three.
+func (n *node) corners(t TriKey) (p [3]geom.Point, ok bool) {
+	for i, v := range t {
+		if p[i], ok = n.pos[v]; !ok {
+			return p, false
 		}
 	}
-	return false
+	return p, true
 }
 
 // finalizePLDel implements Algorithm 3 step 4: keep a triangle only if
@@ -549,12 +462,7 @@ func RunK(g *graph.Graph, active []bool, radius float64, k, maxRounds int, opts 
 	if k < 1 {
 		return nil, nil, fmt.Errorf("ldel: neighborhood parameter k must be >= 1, got %d", k)
 	}
-	if active == nil {
-		active = make([]bool, g.N())
-		for i := range active {
-			active[i] = true
-		}
-	}
+	active = allActive(active, g.N())
 	opts = append([]sim.Option{sim.WithStage(Stage)}, opts...)
 	net := sim.NewNetwork(g, func(id int) sim.Protocol {
 		return &node{id: id, active: active[id], radius: radius, k: k}
@@ -565,48 +473,29 @@ func RunK(g *graph.Graph, active []bool, radius float64, k, maxRounds int, opts 
 		return nil, net, fmt.Errorf("ldel: %w", err)
 	}
 
-	res := &Result{
-		LDel:  graph.New(g.Points()),
-		PLDel: graph.New(g.Points()),
-	}
 	gabriel := make(map[graph.Edge]bool)
+	kept := make(map[TriKey]bool)
 	final := make(map[TriKey]int)
 	for id := 0; id < g.N(); id++ {
 		p, ok := net.Protocol(id).(*node)
 		if !ok {
 			return nil, nil, fmt.Errorf("ldel: unexpected protocol type at node %d", id)
 		}
-		for e := range p.gabriel {
+		for _, e := range p.gabriel {
 			gabriel[e] = true
-			res.LDel.AddEdge(e.U, e.V)
-			res.PLDel.AddEdge(e.U, e.V)
 		}
 		for t := range p.kept {
-			for _, e := range t.Edges() {
-				res.LDel.AddEdge(e.U, e.V)
-			}
+			kept[t] = true
 		}
 		for t := range p.final {
 			final[t]++
 		}
 	}
+	surviving := make(map[TriKey]bool)
 	for t, count := range final {
 		if count == 3 {
-			res.Triangles = append(res.Triangles, t)
-			for _, e := range t.Edges() {
-				res.PLDel.AddEdge(e.U, e.V)
-			}
+			surviving[t] = true
 		}
 	}
-	sortTris(res.Triangles)
-	for e := range gabriel {
-		res.Gabriel = append(res.Gabriel, e)
-	}
-	sort.Slice(res.Gabriel, func(i, j int) bool {
-		if res.Gabriel[i].U != res.Gabriel[j].U {
-			return res.Gabriel[i].U < res.Gabriel[j].U
-		}
-		return res.Gabriel[i].V < res.Gabriel[j].V
-	})
-	return res, net, nil
+	return assemble(g.Points(), gabriel, kept, surviving), net, nil
 }

@@ -119,34 +119,114 @@ func TestPLDelConnectedAndSpanning(t *testing.T) {
 	}
 }
 
-// TestGabrielEdgesInPLDel: the Gabriel subgraph of the UDG is always kept.
+// bruteGabriel is the Gabriel subgraph of the UDG g by brute force: every
+// edge whose open diametral disk holds no other node, sorted.
+func bruteGabriel(g *graph.Graph) []graph.Edge {
+	pts := g.Points()
+	var out []graph.Edge
+	for i := 0; i < len(pts); i++ {
+		for j := i + 1; j < len(pts); j++ {
+			if !g.HasEdge(i, j) {
+				continue
+			}
+			gabriel := true
+			for k := range pts {
+				if k != i && k != j && geom.InDiametralDisk(pts[i], pts[j], pts[k]) {
+					gabriel = false
+					break
+				}
+			}
+			if gabriel {
+				out = append(out, graph.MakeEdge(i, j))
+			}
+		}
+	}
+	return out
+}
+
+// TestGabrielEdgesInPLDel: the Gabriel edges both builds report are the
+// Gabriel subgraph of the UDG, and PLDel keeps every one of them.
 func TestGabrielEdgesInPLDel(t *testing.T) {
 	inst, err := udg.ConnectedInstance(3, 50, 200, 70, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Centralized(inst.UDG, nil, inst.Radius)
+	dist, _, err := Run(inst.UDG, nil, inst.Radius, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pts := inst.Points
-	for i := 0; i < len(pts); i++ {
-		for j := i + 1; j < len(pts); j++ {
-			if !inst.UDG.HasEdge(i, j) {
-				continue
+	cent, err := Centralized(inst.UDG, nil, inst.Radius)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := bruteGabriel(inst.UDG)
+	for name, res := range map[string]*Result{"Run": dist, "Centralized": cent} {
+		if !reflect.DeepEqual(res.Gabriel, want) {
+			t.Fatalf("%s: Gabriel edges %v, brute force %v", name, res.Gabriel, want)
+		}
+		for _, e := range want {
+			if !res.PLDel.HasEdge(e.U, e.V) {
+				t.Fatalf("%s: Gabriel edge %v missing from PLDel", name, e)
 			}
-			gabriel := true
-			for k := range pts {
-				if k == i || k == j {
-					continue
-				}
-				if geom.InDiametralDisk(pts[i], pts[j], pts[k]) {
-					gabriel = false
-					break
+		}
+	}
+}
+
+// TestPlanarizationHandBuiltPairs runs Algorithm 3 on two six-node
+// instances, each holding two kept triangles {0,1,2} and {3,4,5}. {0,1,2}
+// is thin with its obtuse corner at 2, so its circumcircle is large and
+// holds node 3, which is out of range of 0, 1 and 2, while node 4 is a
+// neighbor of node 0 lying just outside that circle, so node 0 hears of
+// {3,4,5}. In "crossing" the two triangles cross (LDel¹ is not planar) and
+// {0,1,2} must go; in "apart" they do not cross and both must stay, as a
+// removal needs the crossing as well as the vertex in the circumcircle.
+// Random instances almost never produce such pairs, so these are the
+// cases that see each half of the removal test decide.
+func TestPlanarizationHandBuiltPairs(t *testing.T) {
+	for _, c := range []struct {
+		name    string
+		pts     []geom.Point
+		crosses bool
+		want    []TriKey
+	}{
+		{"crossing", []geom.Point{
+			geom.Pt(-0.45, 0), geom.Pt(0.45, 0), geom.Pt(-0.42, 0.01),
+			geom.Pt(0, -0.92), geom.Pt(-0.05, 0.077), geom.Pt(0.05, 0.077),
+		}, true, []TriKey{{3, 4, 5}}},
+		{"apart", []geom.Point{
+			geom.Pt(-0.45, 0), geom.Pt(0.45, 0), geom.Pt(0, 0.05),
+			geom.Pt(-1.2, -0.7), geom.Pt(-1.2, 0), geom.Pt(-1.6, -0.35),
+		}, false, []TriKey{{0, 1, 2}, {3, 4, 5}}},
+	} {
+		g := udg.Build(c.pts, 1)
+		p := c.pts
+		if !g.HasEdge(0, 4) || geom.InCircleCCW(p[0], p[1], p[2], p[3]) != geom.Positive {
+			t.Fatalf("%s: instance does not have the shape described", c.name)
+		}
+		dist, _, err := Run(g, nil, 1, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cent, err := Centralized(g, nil, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, res := range map[string]*Result{"Run": dist, "Centralized": cent} {
+			for _, tri := range []TriKey{{0, 1, 2}, {3, 4, 5}} {
+				for _, e := range tri.Edges() {
+					if !res.LDel.HasEdge(e.U, e.V) {
+						t.Fatalf("%s/%s: LDel lacks edge %v of kept triangle %v", c.name, name, e, tri)
+					}
 				}
 			}
-			if gabriel && !res.PLDel.HasEdge(i, j) {
-				t.Fatalf("Gabriel edge (%d,%d) missing from PLDel", i, j)
+			if crosses := len(res.LDel.CrossingEdges()) > 0; crosses != c.crosses {
+				t.Fatalf("%s/%s: LDel¹ crossing = %v, want %v", c.name, name, crosses, c.crosses)
+			}
+			if !reflect.DeepEqual(res.Triangles, c.want) {
+				t.Fatalf("%s/%s: surviving triangles %v, want %v", c.name, name, res.Triangles, c.want)
+			}
+			if x := res.PLDel.CrossingEdges(); len(x) != 0 {
+				t.Fatalf("%s/%s: PLDel has crossings %v", c.name, name, x)
 			}
 		}
 	}

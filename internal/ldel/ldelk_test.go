@@ -1,10 +1,14 @@
 package ldel
 
 import (
+	"fmt"
+	"math"
 	"reflect"
 	"testing"
 
 	"geospanner/internal/delaunay"
+	"geospanner/internal/geom"
+	"geospanner/internal/graph"
 	"geospanner/internal/udg"
 )
 
@@ -111,6 +115,64 @@ func TestLDelKMonotone(t *testing.T) {
 	for k, res := range map[int]*Result{1: k1, 2: k2, 3: k3} {
 		if !res.PLDel.Connected() {
 			t.Fatalf("PLDel^%d disconnected", k)
+		}
+	}
+}
+
+// TestCentralizedKGlobalKnowledge: with k ≥ n on a connected instance every
+// node knows every position, so each local triangulation is the global
+// one. LDel⁽ᵏ⁾ then keeps every all-short Delaunay triangle (each has an
+// angle of at least π/3), planarization removes none (Delaunay triangles
+// never cross), and the Gabriel edges are the brute-force Gabriel
+// subgraph. The expected sets come from one global triangulation and a
+// brute-force scan, not from the package's own rules. Besides random
+// instances it runs a patch of the triangular lattice, whose triangles are
+// all equilateral: there every angle sits on the π/3 threshold.
+func TestCentralizedKGlobalKnowledge(t *testing.T) {
+	type instance struct {
+		name   string
+		g      *graph.Graph
+		radius float64
+	}
+	var cases []instance
+	for seed := int64(0); seed < 6; seed++ {
+		inst, err := udg.ConnectedInstance(seed, 40, 200, 70, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cases = append(cases, instance{fmt.Sprintf("seed %d", seed), inst.UDG, inst.Radius})
+	}
+	var lattice []geom.Point
+	for row := 0; row < 5; row++ {
+		for col := 0; col < 5; col++ {
+			lattice = append(lattice, geom.Pt(float64(col)+float64(row%2)/2, float64(row)*math.Sqrt(3)/2))
+		}
+	}
+	cases = append(cases, instance{"lattice", udg.Build(lattice, 1.2), 1.2})
+
+	for _, c := range cases {
+		g := c.g
+		res, err := CentralizedK(g, nil, c.radius, g.N())
+		if err != nil {
+			t.Fatal(err)
+		}
+		full, err := delaunay.Triangulate(g.Points())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want []TriKey
+		for _, tr := range full.Triangles {
+			if g.HasEdge(tr.A, tr.B) && g.HasEdge(tr.B, tr.C) && g.HasEdge(tr.A, tr.C) {
+				want = append(want, NewTriKey(tr.A, tr.B, tr.C))
+			}
+		}
+		sortTris(want)
+		if len(want) == 0 || !reflect.DeepEqual(res.Triangles, want) {
+			t.Fatalf("%s: triangles differ from the all-short global Delaunay triangles:\ngot  %v\nwant %v",
+				c.name, res.Triangles, want)
+		}
+		if want := bruteGabriel(g); !reflect.DeepEqual(res.Gabriel, want) {
+			t.Fatalf("%s: Gabriel edges differ from brute force:\ngot  %v\nwant %v", c.name, res.Gabriel, want)
 		}
 	}
 }

@@ -1,38 +1,82 @@
 package ldel
 
 import (
+	"fmt"
 	"sort"
 
+	"geospanner/internal/geom"
 	"geospanner/internal/graph"
 )
 
-// Witness captures every per-node decision of one CentralizedK run — the
-// k-hop neighborhoods, each node's incident/proposed triangle sets, the
-// Gabriel certificates, and the kept and surviving triangle sets. Each of
-// those decisions is a pure function of a bounded neighborhood, so when a
-// topology change touches a known dirty set of nodes, Patch re-runs only
-// the decisions whose inputs intersect it and rebuilds PLDel from the
-// spliced state — bit-identical to a from-scratch run (the maintain churn
-// oracle pins this).
-type Witness struct {
-	radius    float64
-	nbrs      [][]int
-	mine      []map[TriKey]bool
-	proposed  []map[TriKey]bool
-	gabriel   map[graph.Edge]bool
-	kept      map[TriKey]bool
-	surviving map[TriKey]bool
+// Centralized computes the same Result as Run without message passing, by
+// running the protocol's per-node rules node by node. Tests assert Run and
+// Centralized agree on every instance.
+func Centralized(g *graph.Graph, active []bool, radius float64) (*Result, error) {
+	return CentralizedK(g, active, radius, 1)
+}
+
+// CentralizedK generalizes Centralized to the k-localized Delaunay graph
+// LDel⁽ᵏ⁾: every node uses its k-hop neighborhood instead of its 1-hop
+// neighborhood. Li et al. prove LDel⁽ᵏ⁾ is already planar for k ≥ 2 (the
+// planarization pass is then a no-op) and that UDel ⊆ LDel⁽ᵏ⁺¹⁾ ⊆ LDel⁽ᵏ⁾.
+// The paper's pipeline uses k = 1, the cheapest variant, precisely because
+// planarization restores planarity at constant extra cost.
+func CentralizedK(g *graph.Graph, active []bool, radius float64, k int) (*Result, error) {
+	res, _, err := centralizedK(g, active, radius, k)
+	return res, err
 }
 
 // CentralizedWitness runs Centralized (k = 1) and returns the Result
 // together with the decision witness for incremental patching.
 func CentralizedWitness(g *graph.Graph, active []bool, radius float64) (*Result, *Witness, error) {
-	wit := &Witness{}
-	res, err := centralizedK(g, active, radius, 1, wit)
-	if err != nil {
+	return centralizedK(g, active, radius, 1)
+}
+
+// centralizedK is every centralized build: a fresh witness brought current
+// over every node by the tiers Patch runs over a dirty set.
+func centralizedK(g *graph.Graph, active []bool, radius float64, k int) (*Result, *Witness, error) {
+	if k < 1 {
+		return nil, nil, fmt.Errorf("ldel: neighborhood parameter k must be >= 1, got %d", k)
+	}
+	n := g.N()
+	w := &Witness{
+		radius:    radius,
+		k:         k,
+		nbrs:      make([][]int, n),
+		mine:      make([][]TriKey, n),
+		proposed:  make([][]TriKey, n),
+		gabriel:   make(map[graph.Edge]bool),
+		kept:      make(map[TriKey]bool),
+		surviving: make(map[TriKey]bool),
+	}
+	every := make([]int, n)
+	for v := range every {
+		every[v] = v
+	}
+	if err := w.update(g, allActive(active, n), every); err != nil {
 		return nil, nil, err
 	}
-	return res, wit, nil
+	return assemble(g.Points(), w.gabriel, w.kept, w.surviving), w, nil
+}
+
+// Witness records every per-node decision of LDel⁽ᵏ⁾ — the k-hop
+// neighborhoods, each node's incident and proposed triangles, the Gabriel
+// certificates, and the kept and surviving triangle sets. Each of those
+// decisions is a pure function of a bounded neighborhood, so when a
+// topology change touches a known dirty set of nodes, Patch re-runs only
+// the decisions whose inputs intersect it and rebuilds PLDel from the
+// spliced state — bit-identical to a from-scratch run (the maintain churn
+// oracle pins this). A from-scratch run is the same update over every
+// node of an empty witness.
+type Witness struct {
+	radius    float64
+	k         int
+	nbrs      [][]int
+	mine      [][]TriKey
+	proposed  [][]TriKey
+	gabriel   map[graph.Edge]bool
+	kept      map[TriKey]bool
+	surviving map[TriKey]bool
 }
 
 // Triangles counts currently surviving triangles (diagnostics).
@@ -42,9 +86,16 @@ func (w *Witness) Triangles() int { return len(w.surviving) }
 // and returns the new PLDel graph. dirty must contain every node whose
 // active flag, position, or alive-graph neighborhood changed since the
 // witness was last current; g and active are the post-change topology.
-//
-// The update runs in three tiers, each scoped by the locality of the rule
-// it replays (see DESIGN.md §14 for the completeness argument):
+func (w *Witness) Patch(g *graph.Graph, active []bool, dirty []int) (*graph.Graph, error) {
+	if err := w.update(g, active, dirty); err != nil {
+		return nil, err
+	}
+	return planarGraph(g.Points(), w.gabriel, w.surviving), nil
+}
+
+// update brings the witness current around dirty in three tiers, each
+// scoped by the locality of the rule it replays (see DESIGN.md §14a for
+// the completeness argument):
 //
 //  1. node decisions — recomputed for dirty nodes only. Gabriel
 //     certificates are symmetric (a blocking witness lies within the
@@ -59,7 +110,7 @@ func (w *Witness) Triangles() int { return len(w.surviving) }
 //     two hops of the dirty set: a survival flip needs either a dirty
 //     corner or a changed kept triangle within earshot, and changed kept
 //     triangles have all corners within one hop of the dirty set.
-func (w *Witness) Patch(g *graph.Graph, active []bool, dirty []int) (*graph.Graph, error) {
+func (w *Witness) update(g *graph.Graph, active []bool, dirty []int) error {
 	pts := g.Points()
 	r2 := w.radius * w.radius
 
@@ -82,7 +133,7 @@ func (w *Witness) Patch(g *graph.Graph, active []bool, dirty []int) (*graph.Grap
 		for _, x := range w.nbrs[v] {
 			ball1[x] = true
 		}
-		for t := range w.mine[v] {
+		for _, t := range w.mine[v] {
 			cand[t] = true
 		}
 	}
@@ -100,20 +151,26 @@ func (w *Witness) Patch(g *graph.Graph, active []bool, dirty []int) (*graph.Grap
 			w.proposed[v] = nil
 			continue
 		}
-		w.nbrs[v] = kHopNeighbors(g, active, v, 1)
+		w.nbrs[v] = kHopNeighbors(g, active, v, w.k)
 		for _, x := range w.nbrs[v] {
 			ball1[x] = true
 		}
-		gab, m, p, err := nodeDecisions(pts, r2, v, w.nbrs[v])
+		ids := append([]int{v}, w.nbrs[v]...)
+		sort.Ints(ids)
+		local := make([]geom.Point, len(ids))
+		for j, id := range ids {
+			local[j] = pts[id]
+		}
+		gab, m, p, err := nodeDecisions(v, ids, local, r2)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		for _, e := range gab {
 			w.gabriel[e] = true
 		}
 		w.mine[v] = m
 		w.proposed[v] = p
-		for t := range m {
+		for _, t := range m {
 			cand[t] = true
 		}
 	}
@@ -151,28 +208,35 @@ func (w *Witness) Patch(g *graph.Graph, active []bool, dirty []int) (*graph.Grap
 		if !ball2[t[0]] && !ball2[t[1]] && !ball2[t[2]] {
 			continue
 		}
-		survives := true
-		for _, z := range t {
-			if removedAtList(pts, w.nbrs, keptList, z, t) {
-				survives = false
-				break
-			}
-		}
-		if survives {
+		if w.survives(pts, keptList, t) {
 			w.surviving[t] = true
 		} else {
 			delete(w.surviving, t)
 		}
 	}
+	return nil
+}
 
-	pl := graph.New(pts)
-	for e := range w.gabriel {
-		pl.AddEdge(e.U, e.V)
-	}
-	for t := range w.surviving {
-		for _, e := range t.Edges() {
-			pl.AddEdge(e.U, e.V)
+// survives applies Algorithm 3 step 2 to kept triangle t at each of its
+// corners z: t is discarded when a kept triangle z hears of — one with a
+// corner in z's closed neighborhood — removes it.
+func (w *Witness) survives(pts []geom.Point, keptList []TriKey, t TriKey) bool {
+	p1 := corners(pts, t)
+	for _, z := range t {
+		reach := map[int]bool{z: true}
+		for _, v := range w.nbrs[z] {
+			reach[v] = true
+		}
+		for _, t2 := range keptList {
+			if (reach[t2[0]] || reach[t2[1]] || reach[t2[2]]) && removes(t, p1, t2, corners(pts, t2)) {
+				return false
+			}
 		}
 	}
-	return pl, nil
+	return true
+}
+
+// corners returns the positions of t's vertices.
+func corners(pts []geom.Point, t TriKey) [3]geom.Point {
+	return [3]geom.Point{pts[t[0]], pts[t[1]], pts[t[2]]}
 }

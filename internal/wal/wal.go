@@ -37,13 +37,14 @@
 package wal
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"io"
 	"math"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -144,11 +145,38 @@ type Stats struct {
 
 func segName(base uint64) string { return fmt.Sprintf("wal-%016x.log", base) }
 func snapName(seq uint64) string { return fmt.Sprintf("snap-%016x.snap", seq) }
-func parseGen(name string) uint64 { // name already matched a glob below
+
+// gen returns the generation a snapshot or segment path encodes: the
+// snapshot's epoch, or the sequence number preceding the segment's first
+// record.
+func gen(path string) uint64 {
 	hex := strings.TrimSuffix(strings.TrimSuffix(
-		strings.TrimPrefix(strings.TrimPrefix(name, "snap-"), "wal-"), ".snap"), ".log")
+		strings.TrimPrefix(strings.TrimPrefix(filepath.Base(path), "snap-"), "wal-"), ".snap"), ".log")
 	v, _ := strconv.ParseUint(hex, 16, 64)
 	return v
+}
+
+// List returns the snapshot and segment files of the log in dir on the
+// real filesystem, each sorted by the generation its name encodes, oldest
+// first.
+func List(dir string) (snaps, segs []string) { return listFS(osFS{}, dir) }
+
+func listFS(fsys FS, dir string) (snaps, segs []string) {
+	snaps, _ = fsys.Glob(filepath.Join(dir, "snap-*.snap"))
+	segs, _ = fsys.Glob(filepath.Join(dir, "wal-*.log"))
+	byGen := func(a, b string) int { return cmp.Compare(gen(a), gen(b)) }
+	slices.SortStableFunc(snaps, byGen)
+	slices.SortStableFunc(segs, byGen)
+	return snaps, segs
+}
+
+// Covered reports whether segment segs[i] holds no record past snapSeq,
+// so retention may delete it: segment wal-b holds records in (b, b'] where
+// b' is the next segment's base, so it is covered exactly when
+// b' <= snapSeq. The last segment is never covered. segs is sorted as
+// List returns it.
+func Covered(segs []string, i int, snapSeq uint64) bool {
+	return i+1 < len(segs) && gen(segs[i+1]) <= snapSeq
 }
 
 // Exists reports whether dir holds a log (any snapshot or segment file)
@@ -156,12 +184,8 @@ func parseGen(name string) uint64 { // name already matched a glob below
 func Exists(dir string) bool { return existsFS(osFS{}, dir) }
 
 func existsFS(fsys FS, dir string) bool {
-	for _, pat := range []string{"snap-*.snap", "wal-*.log"} {
-		if m, _ := fsys.Glob(filepath.Join(dir, pat)); len(m) > 0 {
-			return true
-		}
-	}
-	return false
+	snaps, segs := listFS(fsys, dir)
+	return len(snaps)+len(segs) > 0
 }
 
 // Create initializes a fresh log in dir: a base snapshot of st at seq and
@@ -230,8 +254,8 @@ type RecoverResult struct {
 func Recover(dir string, fallbackFrac float64, cfg Config) (*Log, *RecoverResult, error) {
 	cfg = cfg.withDefaults()
 	fsys := cfg.FS
-	snaps, _ := fsys.Glob(filepath.Join(dir, "snap-*.snap"))
-	sort.Slice(snaps, func(i, j int) bool { return parseGen(filepath.Base(snaps[i])) > parseGen(filepath.Base(snaps[j])) })
+	snaps, segs := listFS(fsys, dir)
+	slices.Reverse(snaps) // newest checkpoint first
 	var (
 		snap    snapshotState
 		snapErr error = ErrNoLog
@@ -272,8 +296,6 @@ func Recover(dir string, fallbackFrac float64, cfg Config) (*Log, *RecoverResult
 		snapSeq: snap.seq, base: snap.seq, last: snap.seq, lastSync: time.Now()}
 	res := &RecoverResult{State: st, Seq: snap.seq, SnapshotSeq: snap.seq, FallbackFrac: frac}
 
-	segs, _ := fsys.Glob(filepath.Join(dir, "wal-*.log"))
-	sort.Slice(segs, func(i, j int) bool { return parseGen(filepath.Base(segs[i])) < parseGen(filepath.Base(segs[j])) })
 	var lastValid, lastRecords int64
 	for i, path := range segs {
 		data, err := fsys.ReadFile(path)
@@ -325,7 +347,7 @@ func Recover(dir string, fallbackFrac float64, cfg Config) (*Log, *RecoverResult
 	}
 
 	if len(segs) > 0 {
-		if err := l.openSegment(parseGen(filepath.Base(segs[len(segs)-1]))); err != nil {
+		if err := l.openSegment(gen(segs[len(segs)-1])); err != nil {
 			return nil, nil, err
 		}
 		l.segRecords = lastRecords
@@ -614,30 +636,26 @@ func (l *Log) writeSnapshotFile(st *maintain.State, seq uint64) error {
 
 // retainLocked enforces bounded retention and recomputes the on-disk
 // footprint. It deletes leftover temp files, snapshots older than the
-// newest one, and closed segments wholly covered by it: segment wal-b
-// holds records in (b, b'] where b' is the next segment's base, so it is
-// deletable exactly when b' <= snapSeq. Deletion is best effort — a
-// leftover file is wasted space, not corruption, and recovery skips
-// covered records anyway.
+// newest one, and closed segments wholly covered by it (Covered).
+// Deletion is best effort — a leftover file is wasted space, not
+// corruption, and recovery skips covered records anyway.
 func (l *Log) retainLocked() {
 	if tmps, _ := l.fs.Glob(filepath.Join(l.dir, "snap-*.snap.tmp")); len(tmps) > 0 {
 		for _, m := range tmps {
 			l.fs.Remove(m)
 		}
 	}
-	snaps, _ := l.fs.Glob(filepath.Join(l.dir, "snap-*.snap"))
+	snaps, segs := listFS(l.fs, l.dir)
 	for _, m := range snaps {
-		if parseGen(filepath.Base(m)) != l.snapSeq {
+		if gen(m) != l.snapSeq {
 			l.fs.Remove(m)
 		}
 	}
-	segs, _ := l.fs.Glob(filepath.Join(l.dir, "wal-*.log"))
-	sort.Slice(segs, func(i, j int) bool { return parseGen(filepath.Base(segs[i])) < parseGen(filepath.Base(segs[j])) })
 	for i, m := range segs {
-		if parseGen(filepath.Base(m)) == l.base {
+		if gen(m) == l.base {
 			continue // never the active segment
 		}
-		if i+1 < len(segs) && parseGen(filepath.Base(segs[i+1])) <= l.snapSeq {
+		if Covered(segs, i, l.snapSeq) {
 			l.fs.Remove(m)
 		}
 	}
@@ -645,26 +663,21 @@ func (l *Log) retainLocked() {
 
 	// Recompute the footprint from what survived.
 	var total int64
-	count := 0
-	if snaps, _ := l.fs.Glob(filepath.Join(l.dir, "snap-*.snap")); len(snaps) > 0 {
-		for _, m := range snaps {
-			if n, err := l.fs.Size(m); err == nil {
-				total += n
-			}
+	snaps, segs = listFS(l.fs, l.dir)
+	for _, m := range snaps {
+		if n, err := l.fs.Size(m); err == nil {
+			total += n
 		}
 	}
-	if segs, _ := l.fs.Glob(filepath.Join(l.dir, "wal-*.log")); len(segs) > 0 {
-		for _, m := range segs {
-			count++
-			if parseGen(filepath.Base(m)) == l.base {
-				continue // the active segment is metered live via segBytes
-			}
-			if n, err := l.fs.Size(m); err == nil {
-				total += n
-			}
+	for _, m := range segs {
+		if gen(m) == l.base {
+			continue // the active segment is metered live via segBytes
+		}
+		if n, err := l.fs.Size(m); err == nil {
+			total += n
 		}
 	}
-	l.retained, l.segCount = total, count
+	l.retained, l.segCount = total, len(segs)
 }
 
 func (l *Log) syncLocked() error {

@@ -23,11 +23,11 @@
 // anywhere else it sits under acknowledged data and is counted as a
 // problem.
 //
-// -retention applies the same rule the log's compaction enforces: segment
-// wal-b holds records in (b, b'] where b' is the next segment's base, so
-// it is deletable exactly when b' does not exceed the newest snapshot's
-// epoch. The summary names each keep/delete decision and totals the
-// reclaimable bytes.
+// -retention applies wal.Covered, the rule the log's compaction enforces:
+// segment wal-b holds records in (b, b'] where b' is the next segment's
+// base, so it is deletable exactly when b' does not exceed the newest
+// snapshot's epoch. The summary names each keep/delete decision and totals
+// the reclaimable bytes. Files are listed by wal.List, oldest first.
 package main
 
 import (
@@ -37,9 +37,6 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"sort"
-	"strconv"
-	"strings"
 
 	"geospanner/internal/maintain"
 	"geospanner/internal/wal"
@@ -50,16 +47,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "walcat:", err)
 		os.Exit(1)
 	}
-}
-
-// parseBase extracts the hex generation number from a snap-/wal- file
-// name (the snapshot's epoch, or the seq preceding a segment's first
-// record).
-func parseBase(name string) uint64 {
-	hex := strings.TrimSuffix(strings.TrimSuffix(
-		strings.TrimPrefix(strings.TrimPrefix(name, "snap-"), "wal-"), ".snap"), ".log")
-	v, _ := strconv.ParseUint(hex, 16, 64)
-	return v
 }
 
 func run(args []string, out io.Writer) error {
@@ -80,10 +67,7 @@ func run(args []string, out io.Writer) error {
 		return fmt.Errorf("%s holds no topology log", dir)
 	}
 
-	snaps, _ := filepath.Glob(filepath.Join(dir, "snap-*.snap"))
-	segs, _ := filepath.Glob(filepath.Join(dir, "wal-*.log"))
-	sort.Slice(snaps, func(i, j int) bool { return parseBase(filepath.Base(snaps[i])) < parseBase(filepath.Base(snaps[j])) })
-	sort.Slice(segs, func(i, j int) bool { return parseBase(filepath.Base(segs[i])) < parseBase(filepath.Base(segs[j])) })
+	snaps, segs := wal.List(dir)
 
 	problems := 0
 	snapSeq, haveSnap := uint64(0), false
@@ -166,10 +150,7 @@ func run(args []string, out io.Writer) error {
 			if fi, err := os.Stat(path); err == nil {
 				size = fi.Size()
 			}
-			// wal-b covers records in (b, next base]; deletable once the
-			// snapshot covers all of them. The last segment is active.
-			deletable := i+1 < len(segs) && parseBase(filepath.Base(segs[i+1])) <= snapSeq
-			if deletable {
+			if wal.Covered(segs, i, snapSeq) {
 				reclaim += size
 				fmt.Fprintf(out, "  delete %s (%d bytes, covered by snapshot)\n", filepath.Base(path), size)
 			} else {
