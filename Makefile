@@ -9,7 +9,7 @@ GO ?= go
 DATE := $(shell date +%F)
 FUZZTIME ?= 10s
 
-.PHONY: check fmt vet lint build test race race-shard fuzz bench bench-smoke trace-smoke chaos-smoke serve-smoke wal-smoke wal-soak wal-soak-long examples-smoke loc clean
+.PHONY: check fmt vet lint build test race race-shard fuzz bench bench-smoke trace-smoke chaos-smoke serve-smoke wal-smoke wal-soak wal-soak-long examples-smoke spanbench-test loc clean
 
 check: fmt lint build test race
 
@@ -176,6 +176,13 @@ examples-smoke:
 		fi; \
 	done; \
 	rm -rf "$$tmp"
+
+# spanbench-test vets and tests the benchmark module (spanbench/, its own
+# Go module importing the root), which the root `go test ./...` skips: a
+# change to an exported call the benchmark makes fails here, not first
+# when the benchmark runs.
+spanbench-test:
+	cd spanbench && $(GO) vet ./... && $(GO) test ./...
 
 # loc prints the non-test Go line count (the benchmark module excluded),
 # the size figure CHANGES.md tracks from change to change.

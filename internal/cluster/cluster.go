@@ -224,25 +224,6 @@ func Centralized(g *graph.Graph) *Result {
 	return Derive(g, isDom)
 }
 
-// View is the alive adjacency a derivation reads: the unit disk graph
-// restricted to the alive nodes, a dead node isolated. Incremental
-// maintenance passes the same view to the connector election.
-type View interface {
-	// Adjacent reports an alive edge between a and b.
-	Adjacent(a, b int) bool
-	// AliveNeighbors returns the sorted alive neighbors of v (none for a
-	// dead node).
-	AliveNeighbors(v int) []int
-}
-
-// GraphView adapts a graph whose dead nodes are isolated to View.
-func GraphView(g *graph.Graph) View { return graphView{g} }
-
-type graphView struct{ g *graph.Graph }
-
-func (gv graphView) Adjacent(a, b int) bool     { return gv.g.HasEdge(a, b) }
-func (gv graphView) AliveNeighbors(v int) []int { return gv.g.Neighbors(v) }
-
 // Derive completes a clustering of g from its dominator set: nodes with
 // isDom set are dominators, every other node a dominatee. DominatorsOf[v]
 // lists the dominators adjacent to a dominatee v, and
@@ -258,11 +239,12 @@ func Derive(g *graph.Graph, isDom []bool) *Result {
 		all[v] = v
 	}
 	res := newResult(g.N())
-	res.Rederive(graphView{g}, func(v int) bool { return isDom[v] }, all)
+	res.Rederive(g, func(v int) bool { return isDom[v] }, all)
 	return res
 }
 
-// Rederive brings r current for the dominator set isDom over view by
+// Rederive brings r current for the dominator set isDom over g (dead
+// nodes isolated, as in incremental maintenance's live graph) by
 // re-running Derive's per-node rule for exactly the nodes of scope
 // (sorted, distinct) and keeping every other entry. It equals a fresh
 // Derive whenever scope holds every node within two hops — before or
@@ -271,7 +253,7 @@ func Derive(g *graph.Graph, isDom []bool) *Result {
 // own flag, its dominator list its neighbors' flags, and its two-hop
 // list its neighbors' dominator lists. Replaced entries are fresh
 // slices; r itself and its outer slices are updated in place.
-func (r *Result) Rederive(view View, isDom func(v int) bool, scope []int) {
+func (r *Result) Rederive(g *graph.Graph, isDom func(v int) bool, scope []int) {
 	for _, v := range scope {
 		was, dom := r.Status[v] == Dominator, isDom(v)
 		r.Status[v] = Dominatee
@@ -293,7 +275,7 @@ func (r *Result) Rederive(view View, isDom func(v int) bool, scope []int) {
 	for _, v := range scope {
 		var doms []int
 		if r.Status[v] == Dominatee {
-			for _, u := range view.AliveNeighbors(v) {
+			for _, u := range g.Neighbors(v) {
 				if r.Status[u] == Dominator {
 					doms = append(doms, u)
 				}
@@ -304,13 +286,13 @@ func (r *Result) Rederive(view View, isDom func(v int) bool, scope []int) {
 	seen := make([]int, len(r.Status)) // seen[u] == v+1: dominator u already considered for v
 	for _, v := range scope {
 		var two []int
-		for _, w := range view.AliveNeighbors(v) {
+		for _, w := range g.Neighbors(v) {
 			for _, u := range r.DominatorsOf[w] {
 				if u == v || seen[u] == v+1 {
 					continue
 				}
 				seen[u] = v + 1
-				if !view.Adjacent(u, v) {
+				if !g.HasEdge(u, v) {
 					two = append(two, u)
 				}
 			}

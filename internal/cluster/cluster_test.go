@@ -283,7 +283,7 @@ func TestRederiveMatchesDerive(t *testing.T) {
 				partial++
 			}
 
-			r.Rederive(GraphView(g2), func(v int) bool { return isDom[v] }, scope)
+			r.Rederive(g2, func(v int) bool { return isDom[v] }, scope)
 			if want := Derive(g2, isDom); !reflect.DeepEqual(r, want) {
 				t.Fatalf("seed %d step %d: re-derivation over %d of %d nodes differs from Derive (dirty %v)",
 					seed, step, len(scope), n, dirty)

@@ -351,7 +351,7 @@ func Centralized(g *graph.Graph, cl *cluster.Result) *Result {
 func CentralizedOpts(g *graph.Graph, cl *cluster.Result, opts Options) *Result {
 	isConnector := make([]bool, g.N())
 	var edges []graph.Edge
-	electAll(cluster.GraphView(g), cl, opts, func(_ keyID, rec *keyRecord) {
+	electAll(g, cl, opts, func(_ keyID, rec *keyRecord) {
 		for _, w := range rec.Winners {
 			isConnector[w] = true
 		}
@@ -365,7 +365,7 @@ func CentralizedOpts(g *graph.Graph, cl *cluster.Result, opts Options) *Result {
 // dominatee proposes (proposalKeys), in first-proposal order, each
 // stage-1 key followed by its stage-2 sibling, which reads the stage-1
 // winners.
-func electAll(view cluster.View, cl *cluster.Result, opts Options, fn func(keyID, *keyRecord)) {
+func electAll(g *graph.Graph, cl *cluster.Result, opts Options, fn func(keyID, *keyRecord)) {
 	seen := make(map[keyID]bool)
 	var keys []keyID
 	for w, st := range cl.Status {
@@ -380,14 +380,14 @@ func electAll(view cluster.View, cl *cluster.Result, opts Options, fn func(keyID
 		})
 	}
 	for _, k := range keys {
-		rec := recomputeRecord(view, cl, k, nil)
+		rec := recomputeRecord(g, cl, k, nil)
 		if rec == nil {
 			continue
 		}
 		fn(k, rec)
 		if k.Stage == 1 {
 			k2 := keyID{U: k.U, V: k.V, Stage: 2}
-			if rec2 := recomputeRecord(view, cl, k2, rec.Winners); rec2 != nil {
+			if rec2 := recomputeRecord(g, cl, k2, rec.Winners); rec2 != nil {
 				fn(k2, rec2)
 			}
 		}

@@ -48,12 +48,12 @@ type keyRecord struct {
 // unless a smaller-ID candidate is adjacent to it — Algorithm 1's
 // smallest-ID election (steps 4, 6, and 8), which the protocol's nodes
 // decide from the proposals they hear.
-func electAmong(view cluster.View, cands []int) []int {
+func electAmong(g *graph.Graph, cands []int) []int {
 	var winners []int
 	for i, w := range cands {
 		won := true
 		for _, x := range cands[:i] {
-			if view.Adjacent(w, x) {
+			if g.HasEdge(w, x) {
 				won = false
 				break
 			}
@@ -70,19 +70,19 @@ func electAmong(view cluster.View, cands []int) []int {
 // winner set of the key's stage-1 sibling and is only read for stage-2
 // keys. It returns nil when the key has no candidates (the key does not
 // exist in the current topology).
-func recomputeRecord(view cluster.View, cl *cluster.Result, k keyID, stage1Winners []int) *keyRecord {
+func recomputeRecord(g *graph.Graph, cl *cluster.Result, k keyID, stage1Winners []int) *keyRecord {
 	if k.Stage == 2 {
-		return recordStage2(view, cl, k, stage1Winners)
+		return recordStage2(g, cl, k, stage1Winners)
 	}
-	return recordStage01(view, cl, k)
+	return recordStage01(g, cl, k)
 }
 
 // recordStage01 recomputes a stage-0 or stage-1 record. Every candidate
 // has k.U among its dominators and is therefore adjacent to k.U, so
 // scanning k.U's alive neighborhood enumerates the full proposal set.
-func recordStage01(view cluster.View, cl *cluster.Result, k keyID) *keyRecord {
+func recordStage01(g *graph.Graph, cl *cluster.Result, k keyID) *keyRecord {
 	var cands []int
-	for _, w := range view.AliveNeighbors(k.U) {
+	for _, w := range g.Neighbors(k.U) {
 		if cl.Status[w] != cluster.Dominatee || !contains(cl.DominatorsOf[w], k.U) {
 			continue
 		}
@@ -98,7 +98,7 @@ func recordStage01(view cluster.View, cl *cluster.Result, k keyID) *keyRecord {
 	if len(cands) == 0 {
 		return nil
 	}
-	rec := &keyRecord{Cands: cands, Winners: electAmong(view, cands)}
+	rec := &keyRecord{Cands: cands, Winners: electAmong(g, cands)}
 	for _, w := range rec.Winners {
 		if k.Stage == 0 {
 			rec.Edges = append(rec.Edges, graph.MakeEdge(k.U, w), graph.MakeEdge(w, k.V))
@@ -113,14 +113,14 @@ func recordStage01(view cluster.View, cl *cluster.Result, k keyID) *keyRecord {
 // adjacent to a current stage-1 winner with k.V among their dominators and
 // k.U among their two-hop dominators; each winner links to k.V and to
 // every triggering stage-1 winner it can hear.
-func recordStage2(view cluster.View, cl *cluster.Result, k keyID, stage1Winners []int) *keyRecord {
+func recordStage2(g *graph.Graph, cl *cluster.Result, k keyID, stage1Winners []int) *keyRecord {
 	if len(stage1Winners) == 0 {
 		return nil
 	}
 	var cands []int
 	triggers := make(map[int][]int)
 	for _, w := range stage1Winners {
-		for _, x := range view.AliveNeighbors(w) {
+		for _, x := range g.Neighbors(w) {
 			if cl.Status[x] != cluster.Dominatee || !contains(cl.DominatorsOf[x], k.V) || !contains(cl.TwoHopDominators[x], k.U) {
 				continue
 			}
@@ -134,7 +134,7 @@ func recordStage2(view cluster.View, cl *cluster.Result, k keyID, stage1Winners 
 		return nil
 	}
 	sort.Ints(cands)
-	rec := &keyRecord{Cands: cands, Winners: electAmong(view, cands)}
+	rec := &keyRecord{Cands: cands, Winners: electAmong(g, cands)}
 	for _, x := range rec.Winners {
 		rec.Edges = append(rec.Edges, graph.MakeEdge(x, k.V))
 		for _, w := range triggers[x] {
@@ -163,18 +163,19 @@ type spliceDelta struct {
 // multiset.
 type Witness struct {
 	records   map[keyID]*keyRecord
-	byNode    map[int]map[keyID]struct{} // keys where the node is a candidate
-	stage1Won map[int]map[keyID]struct{} // stage-1 keys the node currently wins
-	wins      map[int]int                // elections won per node
-	edgeRef   map[graph.Edge]int         // CDS path-edge reference counts
+	byNode    [][]keyID          // keys where the node is a candidate
+	stage1Won [][]keyID          // stage-1 keys the node currently wins
+	wins      []int              // elections won per node
+	edgeRef   map[graph.Edge]int // CDS path-edge reference counts
 }
 
-func newWitness() *Witness {
+// newWitness returns an empty witness for an n-node network.
+func newWitness(n int) *Witness {
 	return &Witness{
 		records:   make(map[keyID]*keyRecord),
-		byNode:    make(map[int]map[keyID]struct{}),
-		stage1Won: make(map[int]map[keyID]struct{}),
-		wins:      make(map[int]int),
+		byNode:    make([][]keyID, n),
+		stage1Won: make([][]keyID, n),
+		wins:      make([]int, n),
 		edgeRef:   make(map[graph.Edge]int),
 	}
 }
@@ -205,24 +206,12 @@ func (w *Witness) splice(k keyID, rec *keyRecord) spliceDelta {
 			}
 		}
 		for _, v := range old.Cands {
-			if set := w.byNode[v]; set != nil {
-				delete(set, k)
-				if len(set) == 0 {
-					delete(w.byNode, v)
-				}
-			}
+			w.byNode[v] = deleteKey(w.byNode[v], k)
 		}
 		for _, v := range old.Winners {
-			if w.wins[v]--; w.wins[v] == 0 {
-				delete(w.wins, v)
-			}
+			w.wins[v]--
 			if k.Stage == 1 {
-				if set := w.stage1Won[v]; set != nil {
-					delete(set, k)
-					if len(set) == 0 {
-						delete(w.stage1Won, v)
-					}
-				}
+				w.stage1Won[v] = deleteKey(w.stage1Won[v], k)
 			}
 		}
 	}
@@ -234,22 +223,12 @@ func (w *Witness) splice(k keyID, rec *keyRecord) spliceDelta {
 			w.edgeRef[e]++
 		}
 		for _, v := range rec.Cands {
-			set := w.byNode[v]
-			if set == nil {
-				set = make(map[keyID]struct{})
-				w.byNode[v] = set
-			}
-			set[k] = struct{}{}
+			w.byNode[v] = append(w.byNode[v], k)
 		}
 		for _, v := range rec.Winners {
 			w.wins[v]++
 			if k.Stage == 1 {
-				set := w.stage1Won[v]
-				if set == nil {
-					set = make(map[keyID]struct{})
-					w.stage1Won[v] = set
-				}
-				set[k] = struct{}{}
+				w.stage1Won[v] = append(w.stage1Won[v], k)
 			}
 		}
 		w.records[k] = rec
@@ -266,10 +245,19 @@ func (w *Witness) splice(k keyID, rec *keyRecord) spliceDelta {
 	return delta
 }
 
-// isConnector flags, per node of an n-node network, whether it currently
-// wins an election.
-func (w *Witness) isConnector(n int) []bool {
-	flags := make([]bool, n)
+// deleteKey removes k from keys, which holds it once, and releases a
+// list it empties.
+func deleteKey(keys []keyID, k keyID) []keyID {
+	if len(keys) == 1 {
+		return nil
+	}
+	i := slices.Index(keys, k)
+	return slices.Delete(keys, i, i+1)
+}
+
+// isConnector flags, per node, whether it currently wins an election.
+func (w *Witness) isConnector() []bool {
+	flags := make([]bool, len(w.wins))
 	for v, c := range w.wins {
 		flags[v] = c > 0
 	}
@@ -285,7 +273,7 @@ func (w *Witness) assemble(g *graph.Graph, cl *cluster.Result) *Result {
 	for e := range w.edgeRef {
 		edges = append(edges, e)
 	}
-	return assemble(g, cl, w.isConnector(g.N()), edges)
+	return assemble(g, cl, w.isConnector(), edges)
 }
 
 // sortKeyIDs orders keys by (U, V, Stage) — the deterministic iteration
@@ -308,15 +296,16 @@ func sortKeyIDs(keys []keyID) {
 // each record into the witness, whose aggregated records then assemble
 // the Result. g is the alive unit disk graph (dead nodes isolated).
 func CentralizedWitness(g *graph.Graph, cl *cluster.Result) (*Result, *Witness) {
-	wit := newWitness()
-	electAll(cluster.GraphView(g), cl, Options{}, func(k keyID, rec *keyRecord) { wit.splice(k, rec) })
+	wit := newWitness(g.N())
+	electAll(g, cl, Options{}, func(k keyID, rec *keyRecord) { wit.splice(k, rec) })
 	return wit.assemble(g, cl), wit
 }
 
 // Patch brings res, the Result this witness backs, current after a
 // topology change and returns the sorted nodes whose backbone membership
-// or ICDS row changed — the dirty set ldel's Witness.Patch revisits. cl
-// is the current clustering over view, a dead node an isolated dominatee.
+// or ICDS row changed — the dirty set ldel's Witness.Patch revisits. g
+// is the current unit disk graph over the alive nodes and cl the current
+// clustering over it, a dead node an isolated dominatee.
 // scope must hold every node whose liveness, adjacency, or clustering
 // entry changed, together with its alive neighbors before and after the
 // change; moved lists the nodes whose position changed.
@@ -330,10 +319,10 @@ func CentralizedWitness(g *graph.Graph, cl *cluster.Result) (*Result, *Witness) 
 // for moved members, whose induced edges changed with their position;
 // the membership lists and primed graphs are derived as assemble derives
 // them.
-func (w *Witness) Patch(view cluster.View, cl *cluster.Result, res *Result, scope, moved []int) []int {
+func (w *Witness) Patch(g *graph.Graph, cl *cluster.Result, res *Result, scope, moved []int) []int {
 	dirty := make(map[keyID]bool)
 	for _, v := range scope {
-		for k := range w.byNode[v] {
+		for _, k := range w.byNode[v] {
 			if k.Stage < 2 {
 				dirty[k] = true
 			}
@@ -342,14 +331,14 @@ func (w *Witness) Patch(view cluster.View, cl *cluster.Result, res *Result, scop
 			proposalKeys(cl.DominatorsOf[v], cl.TwoHopDominators[v], Options{}, func(k keyID) { dirty[k] = true })
 		}
 	}
-	changed1 := w.resplice(view, cl, res.CDS, dirty)
+	changed1 := w.resplice(g, cl, res.CDS, dirty)
 
 	dirty = make(map[keyID]bool, len(changed1))
 	for _, k := range changed1 {
 		dirty[keyID{U: k.U, V: k.V, Stage: 2}] = true
 	}
 	for _, v := range scope {
-		for k := range w.byNode[v] {
+		for _, k := range w.byNode[v] {
 			if k.Stage == 2 {
 				dirty[k] = true
 			}
@@ -357,18 +346,18 @@ func (w *Witness) Patch(view cluster.View, cl *cluster.Result, res *Result, scop
 		if cl.Status[v] != cluster.Dominatee {
 			continue
 		}
-		for _, x := range view.AliveNeighbors(v) {
-			for k1 := range w.stage1Won[x] {
+		for _, x := range g.Neighbors(v) {
+			for _, k1 := range w.stage1Won[x] {
 				if contains(cl.DominatorsOf[v], k1.V) && contains(cl.TwoHopDominators[v], k1.U) {
 					dirty[keyID{U: k1.U, V: k1.V, Stage: 2}] = true
 				}
 			}
 		}
 	}
-	w.resplice(view, cl, res.CDS, dirty)
+	w.resplice(g, cl, res.CDS, dirty)
 
 	was := res.InBackbone
-	res.setMembers(cl, w.isConnector(len(was)))
+	res.setMembers(cl, w.isConnector())
 	now := res.InBackbone
 	icds := res.ICDS
 	touched := make(map[int]bool)
@@ -381,7 +370,7 @@ func (w *Witness) Patch(view cluster.View, cl *cluster.Result, res *Result, scop
 	}
 	join := func(v int) {
 		touched[v] = true
-		for _, u := range view.AliveNeighbors(v) {
+		for _, u := range g.Neighbors(v) {
 			if now[u] {
 				icds.AddEdge(v, u)
 				touched[u] = true
@@ -423,7 +412,7 @@ func (w *Witness) Patch(view cluster.View, cl *cluster.Result, res *Result, scop
 // resplice re-decides the keys of dirty in key order, splicing each record
 // and applying its CDS delta to cds, and returns the stage-1 keys whose
 // winner set changed.
-func (w *Witness) resplice(view cluster.View, cl *cluster.Result, cds *graph.Graph, dirty map[keyID]bool) []keyID {
+func (w *Witness) resplice(g *graph.Graph, cl *cluster.Result, cds *graph.Graph, dirty map[keyID]bool) []keyID {
 	keys := make([]keyID, 0, len(dirty))
 	for k := range dirty {
 		keys = append(keys, k)
@@ -435,7 +424,7 @@ func (w *Witness) resplice(view cluster.View, cl *cluster.Result, cds *graph.Gra
 		if k.Stage == 2 {
 			s1 = w.stage1Winners(k.U, k.V)
 		}
-		delta := w.splice(k, recomputeRecord(view, cl, k, s1))
+		delta := w.splice(k, recomputeRecord(g, cl, k, s1))
 		for _, e := range delta.RemovedEdges {
 			cds.RemoveEdge(e.U, e.V)
 		}

@@ -175,7 +175,7 @@ func TestWitnessPatchMatchesCentralized(t *testing.T) {
 
 			before := res.ICDS.Clone()
 			wasIn := res.InBackbone
-			touched := wit.Patch(cluster.GraphView(g2), cl2, res, scope, nil)
+			touched := wit.Patch(g2, cl2, res, scope, nil)
 			assertResultsEqual(t, seed, Centralized(g2, cl2), res)
 			for v := range wasIn {
 				moved := wasIn[v] != res.InBackbone[v] || !slices.Equal(before.Neighbors(v), res.ICDS.Neighbors(v))

@@ -203,6 +203,11 @@ func (w *Witness) update(g *graph.Graph, active []bool, dirty []int) error {
 	for t := range w.kept {
 		keptList = append(keptList, t)
 	}
+	// No result depends on this order (survives is an OR over keptList),
+	// but survives scans keptList once per corner of every re-checked
+	// triangle, and that scan runs faster in sorted order than in map
+	// order: in 8 alternating pairs of full n=2000 builds on a 2-vCPU x86
+	// VM, the sorted side's fastest build was 5–23% faster in every pair.
 	sortTris(keptList)
 	for _, t := range keptList {
 		if !ball2[t[0]] && !ball2[t[1]] && !ball2[t[2]] {

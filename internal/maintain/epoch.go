@@ -210,21 +210,10 @@ func (s *State) Move(v int, to geom.Point) ([]int, error) {
 	return mergeSorted(changed, more), nil
 }
 
-// relocate updates v's position and its unit-disk edges in the full graph,
-// using the same closed-ball predicate (dist² ≤ r²) as udg.Build.
+// relocate moves the dead node v to position to; it has no edges, and
+// its rejoin (Recover) links it at the new position.
 func (s *State) relocate(v int, to geom.Point) {
 	s.pts[v] = to
-	r2 := s.radius * s.radius
-	for u := range s.pts {
-		if u == v {
-			continue
-		}
-		if s.pts[u].Dist2(to) <= r2 {
-			s.full.AddEdge(v, u)
-		} else {
-			s.full.RemoveEdge(v, u)
-		}
-	}
 	s.noteReloc(v)
 }
 
@@ -251,7 +240,7 @@ func mergeSorted(a, b []int) []int {
 // to RoleChanges). This is the fallback of ApplyBatch and the recovery
 // path after local repair has densified the dominator set.
 func (s *State) RebuildRoles() int {
-	cl := cluster.Centralized(s.AliveGraph())
+	cl := cluster.Centralized(s.live)
 	changed := 0
 	for v, a := range s.alive {
 		if !a {
@@ -280,9 +269,14 @@ func FromRoles(pts []geom.Point, radius float64, alive []bool, status []cluster.
 	s := &State{
 		pts:    pts,
 		radius: radius,
-		full:   udg.Build(pts, radius),
+		live:   udg.Build(pts, radius),
 		alive:  append([]bool(nil), alive...),
 		status: append([]cluster.Status(nil), status...),
+	}
+	for v, a := range alive {
+		if !a {
+			s.unlink(v)
+		}
 	}
 	if err := s.CheckInvariants(); err != nil {
 		return nil, fmt.Errorf("maintain: FromRoles: %w", err)
@@ -332,13 +326,12 @@ func (s *State) VerifyBackbone(conn *connector.Result, pldel *graph.Graph) error
 	if err := s.CheckInvariants(); err != nil {
 		return err
 	}
-	alive := s.AliveGraph()
 	for name, g := range map[string]*graph.Graph{"CDS": conn.CDS, "ICDS": conn.ICDS, "LDel(ICDS)": pldel} {
 		for _, e := range g.Edges() {
 			if !s.alive[e.U] || !s.alive[e.V] {
 				return fmt.Errorf("maintain: %s edge %v touches a dead node", name, e)
 			}
-			if !alive.HasEdge(e.U, e.V) {
+			if !s.live.HasEdge(e.U, e.V) {
 				return fmt.Errorf("maintain: %s edge %v is not a live UDG edge", name, e)
 			}
 		}
@@ -346,7 +339,7 @@ func (s *State) VerifyBackbone(conn *connector.Result, pldel *graph.Graph) error
 	if !pldel.IsPlanarEmbedding() {
 		return fmt.Errorf("maintain: planarized backbone has crossing edges")
 	}
-	for _, comp := range alive.Components() {
+	for _, comp := range s.live.Components() {
 		if len(comp) == 1 && !s.alive[comp[0]] {
 			continue // dead nodes are isolated singletons of the alive graph
 		}

@@ -72,10 +72,11 @@ func randomBatch(rng *rand.Rand, s *State, region float64, k int) (events []Even
 }
 
 // TestChurnBatchesMatchRebuild is the churn property test: after every
-// random batch, the incrementally maintained backbone equals the backbone
-// rebuilt from scratch over the same roles (graph.Equal on CDS, ICDS and
-// the planarization), and the degraded-mode invariants — planar, connected
-// per component, subgraph of the live UDG — hold at every epoch.
+// random batch, the incrementally maintained live graph and backbone equal
+// the ones rebuilt from scratch over the same roles (graph.Equal on the
+// live graph, CDS, ICDS and the planarization), and the degraded-mode
+// invariants — planar, connected per component, subgraph of the live UDG
+// — hold at every epoch.
 func TestChurnBatchesMatchRebuild(t *testing.T) {
 	cases := []struct {
 		seed   int64
@@ -119,6 +120,9 @@ func TestChurnBatchesMatchRebuild(t *testing.T) {
 			rconn, rpldel, err := rb.Structures()
 			if err != nil {
 				t.Fatalf("n=%d epoch %d: rebuild structures: %v", tc.n, epoch, err)
+			}
+			if !s.AliveGraph().Equal(rb.AliveGraph()) {
+				t.Fatalf("n=%d epoch %d: maintained live graph differs from rebuild", tc.n, epoch)
 			}
 			if !conn.CDS.Equal(rconn.CDS) {
 				t.Fatalf("n=%d epoch %d: incremental CDS differs from rebuild", tc.n, epoch)

@@ -10,13 +10,16 @@
 //   - when a node recovers, it joins as a dominatee if any neighbor
 //     dominates it and as a dominator otherwise.
 //
-// The derived state — the clustering's dominator lists, the connectors and
-// induced graphs, the LDel planarization — is brought current by one
-// incremental mechanism: each event grows a dirty scope, and the next
-// Clustering or Structures call widens it by one hop and hands it to each
-// layer's own update (cluster's Rederive, connector's and ldel's
-// Witness.Patch), which re-run only the decisions inside it. A scope past
-// the cap takes the from-scratch path instead. Either way the result is
+// The state holds one graph, the unit disk graph over the alive nodes
+// (live, a dead node isolated): Fail unlinks a node and Recover links it
+// by the one range query, link. The derived state — the clustering's
+// dominator lists, the connectors and induced graphs, the LDel
+// planarization — is brought current by one incremental mechanism: each
+// event grows a dirty scope, and the next Clustering or Structures call
+// widens it by one hop and hands it, with the live graph, to each layer's
+// own update (cluster's Rederive, connector's and ldel's Witness.Patch),
+// which re-run only the decisions inside it. A scope past the cap takes
+// the from-scratch path instead. Either way the result is
 // bit-identical to a rebuild from the repaired roles; in a deployment the
 // same locality makes it a constant-message local protocol per the
 // paper's bounds. Tests assert that every invariant (independence,
@@ -27,6 +30,7 @@ package maintain
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"geospanner/internal/cluster"
@@ -52,7 +56,7 @@ var (
 type State struct {
 	pts    []geom.Point
 	radius float64
-	full   *graph.Graph // UDG over all nodes
+	live   *graph.Graph // UDG over the alive nodes, a dead node isolated
 	alive  []bool
 	status []cluster.Status
 
@@ -113,12 +117,12 @@ func (s *State) invalidate() {
 // New builds the initial state from a point set: the unit disk graph plus
 // the lowest-ID MIS clustering, with every node alive.
 func New(pts []geom.Point, radius float64) *State {
-	full := udg.Build(pts, radius)
-	cl := cluster.Centralized(full)
+	live := udg.Build(pts, radius)
+	cl := cluster.Centralized(live)
 	s := &State{
 		pts:    pts,
 		radius: radius,
-		full:   full,
+		live:   live,
 		alive:  make([]bool, len(pts)),
 		status: make([]cluster.Status, len(pts)),
 	}
@@ -135,36 +139,38 @@ func (s *State) Alive(v int) bool { return v >= 0 && v < len(s.alive) && s.alive
 // Status returns node v's current clustering role.
 func (s *State) Status(v int) cluster.Status { return s.status[v] }
 
-// AliveGraph returns the unit disk graph restricted to alive nodes (failed
-// nodes are isolated).
-func (s *State) AliveGraph() *graph.Graph {
-	keep := make(map[int]bool, len(s.alive))
-	for v, a := range s.alive {
-		if a {
-			keep[v] = true
-		}
-	}
-	return s.full.Subgraph(keep)
-}
-
-// aliveNeighbors returns v's alive UDG neighbors.
-func (s *State) aliveNeighbors(v int) []int {
-	var out []int
-	for _, u := range s.full.Neighbors(v) {
-		if s.alive[u] {
-			out = append(out, u)
-		}
-	}
-	return out
-}
+// AliveGraph returns a copy of the unit disk graph over the alive nodes
+// (failed nodes are isolated); later events do not change it.
+func (s *State) AliveGraph() *graph.Graph { return s.live.Clone() }
 
 func (s *State) hasAliveDominatorNeighbor(v int) bool {
-	for _, u := range s.aliveNeighbors(v) {
+	for _, u := range s.live.Neighbors(v) {
 		if s.status[u] == cluster.Dominator {
 			return true
 		}
 	}
 	return false
+}
+
+// link connects v to every alive node within range, by the closed-ball
+// predicate (dist² ≤ r²) of udg.Build — the one range query of the
+// maintained graph.
+func (s *State) link(v int) {
+	at, r2 := s.pts[v], s.radius*s.radius
+	for u, p := range s.pts {
+		if u != v && s.alive[u] && p.Dist2(at) <= r2 {
+			s.live.AddEdge(v, u)
+		}
+	}
+}
+
+// unlink isolates v and returns its former neighbors.
+func (s *State) unlink(v int) []int {
+	nbrs := slices.Clone(s.live.Neighbors(v))
+	for _, u := range nbrs {
+		s.live.RemoveEdge(v, u)
+	}
+	return nbrs
 }
 
 // Fail marks node v failed and repairs the clustering locally. It returns
@@ -177,8 +183,9 @@ func (s *State) Fail(v int) ([]int, error) {
 		return nil, fmt.Errorf("%w: node %d already failed", ErrDeadNode, v)
 	}
 	wasDominator := s.status[v] == cluster.Dominator
+	s.noteScope(v) // before unlinking, so the scope holds v's neighbors
 	s.alive[v] = false
-	s.noteScope(v)
+	nbrs := s.unlink(v)
 	if !wasDominator {
 		// Dominatees and connectors carry no coverage responsibility, so
 		// no roles change. The scope still matters: a dead losing
@@ -189,7 +196,7 @@ func (s *State) Fail(v int) ([]int, error) {
 	// Only v's alive dominatee neighbors can become uncovered. Promote the
 	// uncovered ones in ID order; each promotion may cover later ones.
 	var uncovered []int
-	for _, w := range s.aliveNeighbors(v) {
+	for _, w := range nbrs {
 		if s.status[w] == cluster.Dominatee && !s.hasAliveDominatorNeighbor(w) {
 			uncovered = append(uncovered, w)
 		}
@@ -224,6 +231,7 @@ func (s *State) Recover(v int) ([]int, error) {
 		return nil, fmt.Errorf("%w: node %d already alive", ErrDeadNode, v)
 	}
 	s.alive[v] = true
+	s.link(v)
 	old := s.status[v]
 	if s.hasAliveDominatorNeighbor(v) {
 		s.status[v] = cluster.Dominatee
@@ -256,14 +264,14 @@ func (s *State) dominators() []bool {
 }
 
 // Clustering derives the full cluster.Result (dominator lists, two-hop
-// dominator lists) from the maintained roles over the alive subgraph
+// dominator lists) from the maintained roles over the live graph
 // (cluster.Derive; a failed node is an isolated dominatee with no links).
 // The result is cached and brought current in place by the next call
 // after events (see refresh), so callers must treat it as read-only.
 func (s *State) Clustering() *cluster.Result {
 	s.refresh()
 	if s.cachedCl == nil {
-		s.cachedCl = cluster.Derive(s.AliveGraph(), s.dominators())
+		s.cachedCl = cluster.Derive(s.live, s.dominators())
 	}
 	return s.cachedCl
 }
@@ -294,7 +302,7 @@ func (s *State) CheckInvariants() error {
 		}
 		switch s.status[v] {
 		case cluster.Dominator:
-			for _, u := range s.aliveNeighbors(v) {
+			for _, u := range s.live.Neighbors(v) {
 				if s.status[u] == cluster.Dominator {
 					return fmt.Errorf("maintain: adjacent dominators %d, %d", v, u)
 				}

@@ -443,9 +443,9 @@ func TestConnectorFailurePatchesCache(t *testing.T) {
 	assertMatchesRebuild(t, s, conn2, pldel2)
 }
 
-// assertMatchesRebuild compares the maintained structures against a
-// from-scratch rebuild of the same roles — the bit-identical contract of
-// witness patching.
+// assertMatchesRebuild compares the maintained live graph and structures
+// against a from-scratch rebuild of the same roles — the bit-identical
+// contract of witness patching.
 func assertMatchesRebuild(t *testing.T, s *State, conn *connector.Result, pldel *graph.Graph) {
 	t.Helper()
 	alive, status := s.Roles()
@@ -456,6 +456,9 @@ func assertMatchesRebuild(t *testing.T, s *State, conn *connector.Result, pldel 
 	refConn, refPldel, err := ref.Structures()
 	if err != nil {
 		t.Fatalf("rebuild: %v", err)
+	}
+	if !ref.AliveGraph().Equal(s.AliveGraph()) {
+		t.Fatal("maintained live graph diverges from rebuild")
 	}
 	if !refConn.CDS.Equal(conn.CDS) {
 		t.Fatal("patched CDS diverges from rebuild")

@@ -48,7 +48,7 @@ func (s *State) noteScope(v int) {
 		s.pending = make(map[int]bool)
 	}
 	s.pending[v] = true
-	for _, u := range s.aliveNeighbors(v) {
+	for _, u := range s.live.Neighbors(v) {
 		s.pending[u] = true
 	}
 }
@@ -65,21 +65,6 @@ func (s *State) noteReloc(v int) {
 		s.pendingReloc = make(map[int]bool)
 	}
 	s.pendingReloc[v] = true
-}
-
-// stateView adapts the maintained state to cluster.View: alive-UDG
-// adjacency over the full graph's current edges.
-type stateView struct{ s *State }
-
-func (v stateView) Adjacent(a, b int) bool {
-	return v.s.alive[a] && v.s.alive[b] && v.s.full.HasEdge(a, b)
-}
-
-func (v stateView) AliveNeighbors(x int) []int {
-	if !v.s.alive[x] {
-		return nil
-	}
-	return v.s.aliveNeighbors(x)
 }
 
 // refresh brings the caches current with the events since the last call.
@@ -101,7 +86,7 @@ func (s *State) refresh() {
 	inScope := make(map[int]bool, 2*len(pending))
 	for v := range pending {
 		inScope[v] = true
-		for _, u := range s.aliveNeighbors(v) {
+		for _, u := range s.live.Neighbors(v) {
 			inScope[u] = true
 		}
 	}
@@ -125,15 +110,14 @@ func (s *State) refresh() {
 		return
 	}
 	sort.Ints(scope)
-	view := stateView{s}
-	s.cachedCl.Rederive(view, s.isDominator, scope)
+	s.cachedCl.Rederive(s.live, s.isDominator, scope)
 	if s.cachedConn != nil {
 		moved := make([]int, 0, len(relocated))
 		for v := range relocated {
 			moved = append(moved, v)
 		}
 		sort.Ints(moved)
-		dirty := s.wit.Patch(view, s.cachedCl, s.cachedConn, scope, moved)
+		dirty := s.wit.Patch(s.live, s.cachedCl, s.cachedConn, scope, moved)
 		pldel, err := s.ldwit.Patch(s.cachedConn.ICDS, s.cachedConn.InBackbone, dirty)
 		if err != nil {
 			s.invalidate()
@@ -146,13 +130,12 @@ func (s *State) refresh() {
 
 // rebuild is the from-scratch path: derive whatever clustering is not
 // cached, then the connector and LDel layers with their witnesses, all
-// over one alive graph.
+// over the live graph.
 func (s *State) rebuild() (*connector.Result, *graph.Graph, error) {
-	g := s.AliveGraph()
 	if s.cachedCl == nil {
-		s.cachedCl = cluster.Derive(g, s.dominators())
+		s.cachedCl = cluster.Derive(s.live, s.dominators())
 	}
-	conn, wit := connector.CentralizedWitness(g, s.cachedCl)
+	conn, wit := connector.CentralizedWitness(s.live, s.cachedCl)
 	res, ldwit, err := ldel.CentralizedWitness(conn.ICDS, conn.InBackbone, s.radius)
 	if err != nil {
 		s.invalidate()

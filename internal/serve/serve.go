@@ -551,26 +551,21 @@ type Epoch struct {
 // buildEpoch derives an immutable Epoch from the maintained state. Caller
 // holds mu.
 func (s *Server) buildEpoch(seq uint64, conn *connector.Result, pldel *graph.Graph, stats EpochStats) *Epoch {
-	pts := s.st.Positions()
 	alive, status := s.st.Roles()
-
-	liveG := graph.New(pts)
-	liveG.AddAll(s.st.AliveGraph())
-	bbG := graph.New(pts)
-	bbG.AddAll(pldel)
+	liveG := s.st.AliveGraph()
 
 	cl := s.st.Clustering()
-	n := len(pts)
-	domsOf := make([][]int, n)
-	for v := 0; v < n; v++ {
+	domsOf := make([][]int, len(alive))
+	for v := range domsOf {
 		if len(cl.DominatorsOf[v]) > 0 {
 			domsOf[v] = append([]int(nil), cl.DominatorsOf[v]...)
 		}
 	}
 	inBackbone := append([]bool(nil), conn.InBackbone...)
 
+	// SnapshotAt copies the positions, which later moves mutate.
 	udgSnap := liveG.SnapshotAt(seq)
-	bbSnap := bbG.SnapshotAt(seq)
+	bbSnap := pldel.SnapshotAt(seq)
 	router := routing.NewDSRouterFrozen(udgSnap.Frozen, routing.NewPlannerFrozen(bbSnap.Frozen), domsOf, inBackbone)
 
 	return &Epoch{
