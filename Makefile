@@ -2,14 +2,15 @@
 # lint, build, full tests, and the race detector over the whole module
 # (the sharded simulation kernel, the parallel experiment runner, and
 # the loss-tolerance campaign all spawn goroutines, so everything runs
-# under -race). `make fuzz` is a short smoke of the native fuzz targets;
-# CI runs both.
+# under -race). `make fuzz` is a short smoke of the native fuzz targets,
+# and `make orphans` fails on an internal package nothing imports; CI
+# runs all three.
 
 GO ?= go
 DATE := $(shell date +%F)
 FUZZTIME ?= 10s
 
-.PHONY: check fmt vet lint build test race race-shard fuzz bench bench-smoke trace-smoke chaos-smoke serve-smoke wal-smoke wal-soak wal-soak-long examples-smoke spanbench-test loc clean
+.PHONY: check fmt vet lint build test race race-shard fuzz orphans bench bench-smoke trace-smoke chaos-smoke serve-smoke wal-smoke wal-soak wal-soak-long examples-smoke spanbench-test loc clean
 
 check: fmt lint build test race
 
@@ -66,6 +67,21 @@ fuzz:
 	$(GO) test ./internal/graph/ -fuzz=FuzzReadGraph -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/wal/ -fuzz=FuzzWALRecord -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/wal/ -fuzz=FuzzWALSnapshot -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/maintain/ -fuzz=FuzzApplyBatch -fuzztime=$(FUZZTIME)
+
+# orphans fails on every geospanner/internal/... package that no other
+# package imports outside tests, in the root module or in spanbench/.
+# Nothing outside the module can import an internal package, so such a
+# package only runs under its own tests.
+IMPORTS_FMT := {{.ImportPath}}{{range .Imports}} {{.}}{{end}}
+orphans:
+	@imports="$$($(GO) list -f '$(IMPORTS_FMT)' ./... && cd spanbench && $(GO) list -f '$(IMPORTS_FMT)' ./...)" || exit 1; \
+	out="$$(echo "$$imports" | awk '$$1 ~ /^geospanner\/internal\// { pkg[$$1] = 1 } \
+		{ for (i = 2; i <= NF; i++) used[$$i] = 1 } \
+		END { for (p in pkg) if (!(p in used)) print p }' | sort)"; \
+	if [ -n "$$out" ]; then \
+		echo "internal packages with no non-test importer:"; echo "$$out"; exit 1; \
+	fi
 
 # bench runs the full benchmark suite once and records it as
 # BENCH_<date>.json (name, ns/op, B/op, allocs/op per benchmark). The raw

@@ -319,7 +319,7 @@ func sizeName(n int) string {
 }
 
 // Extension benchmarks: the ablation, routing-quality, and maintenance
-// experiments, plus the distributed GPSR packet protocol.
+// experiments.
 
 func BenchmarkAblation(b *testing.B) {
 	for i := 0; i < b.N; i++ {
@@ -348,25 +348,6 @@ func BenchmarkPowerStretch(b *testing.B) {
 func BenchmarkLDelKSweep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := experiments.LDelK(60, 60, []int{1, 2}, benchCfg(1)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkGPSRProtocol(b *testing.B) {
-	inst := benchInstance(b, 11, 80, 60)
-	res, err := core.BuildCentralized(inst.UDG, inst.Radius)
-	if err != nil {
-		b.Fatal(err)
-	}
-	bb := res.Conn.Backbone
-	var pairs [][2]int
-	for i := 0; i+1 < len(bb); i += 2 {
-		pairs = append(pairs, [2]int{bb[i], bb[i+1]})
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := routing.SimulateGPSR(res.LDelICDS, pairs, 0); err != nil {
 			b.Fatal(err)
 		}
 	}

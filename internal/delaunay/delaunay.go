@@ -125,17 +125,6 @@ func (t *Triangulation) HasEdge(i, j int) bool {
 	return ok
 }
 
-// TrianglesWith returns all triangles having vertex index v as a corner.
-func (t *Triangulation) TrianglesWith(v int) []Triangle {
-	var out []Triangle
-	for _, tr := range t.Triangles {
-		if tr.Has(v) {
-			out = append(out, tr)
-		}
-	}
-	return out
-}
-
 func (t *Triangulation) buildEdgeSet() {
 	t.edgeSet = make(map[Edge]struct{}, 3*len(t.Triangles))
 	for _, tr := range t.Triangles {
@@ -322,26 +311,4 @@ func (t *Triangulation) Validate() error {
 		}
 	}
 	return nil
-}
-
-// NeighborsOf returns the vertex indices adjacent to v in the
-// triangulation, in increasing order.
-func (t *Triangulation) NeighborsOf(v int) []int {
-	seen := make(map[int]bool)
-	for _, tr := range t.Triangles {
-		if !tr.Has(v) {
-			continue
-		}
-		for _, u := range [3]int{tr.A, tr.B, tr.C} {
-			if u != v {
-				seen[u] = true
-			}
-		}
-	}
-	out := make([]int, 0, len(seen))
-	for u := range seen {
-		out = append(out, u)
-	}
-	sort.Ints(out)
-	return out
 }

@@ -276,21 +276,6 @@ func TestTriangulateGrid(t *testing.T) {
 	}
 }
 
-func TestTrianglesWith(t *testing.T) {
-	pts := []geom.Point{geom.Pt(0, 0), geom.Pt(4, 0), geom.Pt(4, 3), geom.Pt(0, 5)}
-	tr, err := Triangulate(pts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for v := range pts {
-		for _, triangle := range tr.TrianglesWith(v) {
-			if !triangle.Has(v) {
-				t.Fatalf("TrianglesWith(%d) returned %v", v, triangle)
-			}
-		}
-	}
-}
-
 func TestCanonical(t *testing.T) {
 	tr := Triangle{A: 5, B: 1, C: 3}
 	c := tr.Canonical()
@@ -328,33 +313,4 @@ func TestValidate(t *testing.T) {
 			t.Fatal("validation missed a clockwise triangle")
 		}
 	}
-}
-
-func TestNeighborsOf(t *testing.T) {
-	pts := []geom.Point{geom.Pt(0, 0), geom.Pt(4, 0), geom.Pt(4, 3), geom.Pt(0, 5)}
-	tr, err := Triangulate(pts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for v := range pts {
-		nbrs := tr.NeighborsOf(v)
-		for _, u := range nbrs {
-			if !tr.HasEdge(v, u) {
-				t.Fatalf("NeighborsOf(%d) returned non-edge %d", v, u)
-			}
-		}
-		if len(nbrs) != degreeInEdges(tr, v) {
-			t.Fatalf("NeighborsOf(%d) size mismatch", v)
-		}
-	}
-}
-
-func degreeInEdges(tr *Triangulation, v int) int {
-	count := 0
-	for _, e := range tr.Edges() {
-		if e.U == v || e.V == v {
-			count++
-		}
-	}
-	return count
 }

@@ -72,11 +72,10 @@ func (c Config) buildOptions() []core.BuildOption {
 
 // Defaults for the paper's setup.
 const (
-	DefaultRegion      = 200.0
-	DefaultRadius      = 60.0
-	DefaultTable1N     = 100
-	DefaultFigRadiusN  = 500
-	DefaultTable1Count = 100
+	DefaultRegion     = 200.0
+	DefaultRadius     = 60.0
+	DefaultTable1N    = 100
+	DefaultFigRadiusN = 500
 )
 
 // DefaultDensities is the node-count sweep of Figures 8–10.

@@ -248,14 +248,6 @@ func (g *Graph) AddAll(other *Graph) {
 	}
 }
 
-// Union returns a new graph over the same positions containing the edges of
-// both graphs.
-func Union(a, b *Graph) *Graph {
-	u := a.Clone()
-	u.AddAll(b)
-	return u
-}
-
 // Subgraph returns a new graph on the same node set containing only edges
 // with both endpoints in keep.
 func (g *Graph) Subgraph(keep map[int]bool) *Graph {

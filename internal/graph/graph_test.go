@@ -214,19 +214,6 @@ func TestCloneIndependent(t *testing.T) {
 	}
 }
 
-func TestUnion(t *testing.T) {
-	pts := linePoints(4)
-	a := New(pts)
-	a.AddEdge(0, 1)
-	b := New(pts)
-	b.AddEdge(2, 3)
-	b.AddEdge(0, 1)
-	u := Union(a, b)
-	if u.NumEdges() != 2 || !u.HasEdge(0, 1) || !u.HasEdge(2, 3) {
-		t.Fatalf("union edges: %v", u.Edges())
-	}
-}
-
 func TestSubgraph(t *testing.T) {
 	g := New(linePoints(5))
 	g.AddEdge(0, 1)

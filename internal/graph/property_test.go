@@ -69,35 +69,6 @@ func TestGraphAgainstMatrixModel(t *testing.T) {
 	}
 }
 
-func TestUnionCommutativeIdempotent(t *testing.T) {
-	r := rand.New(rand.NewSource(6))
-	pts := make([]geom.Point, 15)
-	for i := range pts {
-		pts[i] = geom.Pt(r.Float64()*10, r.Float64()*10)
-	}
-	mk := func() *Graph {
-		g := New(pts)
-		for k := 0; k < 20; k++ {
-			g.AddEdge(r.Intn(15), r.Intn(15))
-		}
-		return g
-	}
-	a, b := mk(), mk()
-	ab, ba := Union(a, b), Union(b, a)
-	if ab.NumEdges() != ba.NumEdges() {
-		t.Fatal("union not commutative in edge count")
-	}
-	for _, e := range ab.Edges() {
-		if !ba.HasEdge(e.U, e.V) {
-			t.Fatalf("union edge sets differ at %v", e)
-		}
-	}
-	aa := Union(a, a)
-	if aa.NumEdges() != a.NumEdges() {
-		t.Fatal("union not idempotent")
-	}
-}
-
 func TestSubgraphIsSubset(t *testing.T) {
 	r := rand.New(rand.NewSource(8))
 	g := randomGraph(r, 20, 0.3)

@@ -2,7 +2,8 @@
 // A live network delivers churn as a stream of join/leave/move/crash
 // events; the service cuts the stream into batches (epochs) and applies
 // each batch to the maintained State in one step. ApplyBatch is the
-// writer-side contract: events addressed to nodes in the wrong state are
+// writer-side contract: events addressed to nodes in the wrong state, and
+// joins or moves that would put two alive nodes at one position, are
 // strict no-ops (they must not invalidate the cached structures, or the
 // recompute-ratio metric the service reports would count phantom
 // recomputations — the dedupe the regression tests pin), and a batch that
@@ -84,9 +85,10 @@ type BatchStats struct {
 	// Applied counts events that changed the state.
 	Applied int
 	// Rejected counts strict no-ops: a leave/crash addressed to an
-	// already-dead node, a join addressed to an alive one, or an
-	// out-of-range node ID. Rejected events touch neither the roles nor
-	// the cached structures.
+	// already-dead node, a join addressed to an alive one, a join or an
+	// alive node's move onto another alive node's position (ErrOccupied),
+	// or an out-of-range node ID. Rejected events touch neither the roles
+	// nor the cached structures.
 	Rejected int
 	// ByKind slices Applied/Rejected per event kind, indexed by EventKind
 	// (join, leave, crash, move). Out-of-range node IDs and unknown kinds
@@ -111,10 +113,12 @@ type BatchStats struct {
 const DefaultFallbackFraction = 0.25
 
 // ApplyBatch applies one epoch's events in order and returns the batch
-// summary. Events addressed to nodes in the wrong state are counted as
-// Rejected and are complete no-ops. fallbackFrac is the role-churn
-// fraction that triggers the from-scratch re-clustering (<= 0 disables the
-// fallback; DefaultFallbackFraction is the service default).
+// summary. Events addressed to nodes in the wrong state, and joins and
+// alive moves that Recover or Move refuses with ErrOccupied, are counted
+// as Rejected and are complete no-ops, so a log replays them the same
+// way. fallbackFrac is the role-churn fraction that triggers the
+// from-scratch re-clustering (<= 0 disables the fallback;
+// DefaultFallbackFraction is the service default).
 func (s *State) ApplyBatch(events []Event, fallbackFrac float64) BatchStats {
 	st := BatchStats{Events: len(events)}
 	for _, e := range events {
@@ -185,11 +189,14 @@ func (s *State) ApplyBatch(events []Event, fallbackFrac float64) BatchStats {
 }
 
 // Move relocates node v to position to. A dead node's move is a pure
-// geometry update (its slot keeps the new position for a later join). An
-// alive node leaves at its old position (coverage repaired exactly as for
-// a failure), relocates, and rejoins at the new one, so every clustering
-// invariant holds by construction. It returns the nodes whose role
-// changed, v included when its own role differs after the move.
+// geometry update (its slot keeps the new position for a later join,
+// which Recover refuses while another alive node sits there). An alive
+// node's move is refused with ErrOccupied, before any state changes, when
+// another alive node sits at to. Otherwise the node leaves at its old
+// position (coverage repaired exactly as for a failure), relocates, and
+// rejoins at the new one, so every clustering invariant holds by
+// construction. It returns the nodes whose role changed, v included when
+// its own role differs after the move.
 func (s *State) Move(v int, to geom.Point) ([]int, error) {
 	if v < 0 || v >= len(s.alive) {
 		return nil, fmt.Errorf("%w: %d", ErrUnknownNode, v)
@@ -197,6 +204,9 @@ func (s *State) Move(v int, to geom.Point) ([]int, error) {
 	if !s.alive[v] {
 		s.relocate(v, to)
 		return nil, nil
+	}
+	if err := s.occupied(v, to); err != nil {
+		return nil, err
 	}
 	changed, err := s.Fail(v)
 	if err != nil {
@@ -260,8 +270,9 @@ func (s *State) RebuildRoles() int {
 // assignment: the from-scratch rebuild the property tests compare the
 // incrementally maintained backbone against, and the restore path of a
 // service restarting from a persisted snapshot. The positions slice is
-// retained; alive and status are copied. It fails when the roles violate
-// the clustering invariants on the unit disk graph over pts.
+// retained; alive and status are copied. It fails when the state breaks
+// CheckInvariants: roles that violate the clustering invariants on the
+// unit disk graph over pts, or two alive nodes at one position.
 func FromRoles(pts []geom.Point, radius float64, alive []bool, status []cluster.Status) (*State, error) {
 	if len(alive) != len(pts) || len(status) != len(pts) {
 		return nil, fmt.Errorf("maintain: FromRoles: %d points, %d alive, %d status", len(pts), len(alive), len(status))

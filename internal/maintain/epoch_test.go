@@ -1,6 +1,7 @@
 package maintain
 
 import (
+	"errors"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -142,7 +143,8 @@ func TestChurnBatchesMatchRebuild(t *testing.T) {
 
 // TestRejectedEventsDoNotInvalidateCaches is the recompute-counter
 // regression test: events addressed to nodes in the wrong state (a crash
-// racing a leave, a duplicate join, an out-of-range ID) must be strict
+// racing a leave, a duplicate join, an out-of-range ID, an alive node's
+// move onto another alive node's position) must be strict
 // no-ops — rejected, role-preserving, and cache-preserving — so the
 // recompute-ratio metric never counts a recomputation for an event that
 // changed nothing.
@@ -178,6 +180,7 @@ func TestRejectedEventsDoNotInvalidateCaches(t *testing.T) {
 		{Kind: EventJoin, Node: 1},        // already alive
 		{Kind: EventCrash, Node: -1},      // out of range
 		{Kind: EventLeave, Node: 1 << 20}, // out of range
+		NewMove(1, s.Positions()[2]),      // onto an alive node
 	}
 	st = s.ApplyBatch(noise, DefaultFallbackFraction)
 	if st.Applied != 0 || st.Rejected != len(noise) || st.RoleChanges != 0 || st.Fallback {
@@ -252,6 +255,45 @@ func TestMoveDeadNodeIsGeometryOnly(t *testing.T) {
 	}
 }
 
+// TestJoinRefusedOnOccupiedPosition: a dead node's move is a pure
+// relocation even onto an alive node's position, but its join is refused
+// with no state change until that node leaves — then the position is its
+// own, and the former occupant cannot rejoin there.
+func TestJoinRefusedOnOccupiedPosition(t *testing.T) {
+	s := newState(t, 23, 60)
+	at := s.Positions()[3]
+	if _, err := s.Fail(5); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Move(5, at); err != nil {
+		t.Fatal(err)
+	}
+	alive, status := s.Roles()
+	if _, err := s.Recover(5); !errors.Is(err, ErrOccupied) {
+		t.Fatalf("join onto alive node 3: %v", err)
+	}
+	if a, st := s.Roles(); !reflect.DeepEqual(a, alive) || !reflect.DeepEqual(st, status) {
+		t.Fatal("refused join changed the roles")
+	}
+	if _, err := s.Fail(3); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Recover(5); err != nil {
+		t.Fatalf("join after node 3 left: %v", err)
+	}
+	if _, err := s.Recover(3); !errors.Is(err, ErrOccupied) {
+		t.Fatalf("rejoin of node 3 onto node 5: %v", err)
+	}
+	if err := s.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	conn, pldel, err := s.Structures()
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertMatchesRebuild(t, s, conn, pldel)
+}
+
 // TestFallbackRestoresCentralizedClustering drives churn with a fallback
 // fraction of effectively zero, so the batch must re-cluster from scratch
 // and land exactly on the lowest-ID MIS of the surviving graph.
@@ -291,6 +333,12 @@ func TestFromRolesRejectsInvalidInput(t *testing.T) {
 	}
 	if _, err := FromRoles(s.Positions(), s.Radius(), alive, bad); err == nil {
 		t.Fatal("all-dominator roles accepted")
+	}
+	// Two alive nodes at one position break the distinct-positions rule.
+	pts := s.Positions()
+	pts[7] = pts[6]
+	if _, err := FromRoles(pts, s.Radius(), alive, status); !errors.Is(err, ErrOccupied) {
+		t.Fatalf("coincident alive nodes: %v", err)
 	}
 }
 

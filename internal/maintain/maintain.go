@@ -48,6 +48,11 @@ var (
 	ErrDeadNode = errors.New("maintain: node state conflict")
 	// ErrUnknownNode is returned for out-of-range node IDs.
 	ErrUnknownNode = errors.New("maintain: unknown node")
+	// ErrOccupied is returned when a node would join or move onto the
+	// position of another alive node. No two alive nodes share a
+	// position: the planarization's local Delaunay triangulations reject
+	// duplicate points.
+	ErrOccupied = errors.New("maintain: position occupied by an alive node")
 )
 
 // State tracks a network with a maintained clustering under node
@@ -164,6 +169,17 @@ func (s *State) link(v int) {
 	}
 }
 
+// occupied returns an error wrapping ErrOccupied when an alive node
+// other than v sits at position at — the same O(n) scan as link's.
+func (s *State) occupied(v int, at geom.Point) error {
+	for u, p := range s.pts {
+		if u != v && s.alive[u] && p == at {
+			return fmt.Errorf("%w: node %d cannot take %v from node %d", ErrOccupied, v, at, u)
+		}
+	}
+	return nil
+}
+
 // unlink isolates v and returns its former neighbors.
 func (s *State) unlink(v int) []int {
 	nbrs := slices.Clone(s.live.Neighbors(v))
@@ -222,13 +238,17 @@ func (s *State) Fail(v int) ([]int, error) {
 // nodes whose role changed (v itself included when its role differs from
 // its pre-failure one; demotions of other dominators never happen, keeping
 // the repair strictly local at the cost of a possibly denser-than-minimal
-// dominator set).
+// dominator set). While another alive node sits at v's position it
+// refuses with ErrOccupied and changes nothing.
 func (s *State) Recover(v int) ([]int, error) {
 	if v < 0 || v >= len(s.alive) {
 		return nil, fmt.Errorf("%w: %d", ErrUnknownNode, v)
 	}
 	if s.alive[v] {
 		return nil, fmt.Errorf("%w: node %d already alive", ErrDeadNode, v)
+	}
+	if err := s.occupied(v, s.pts[v]); err != nil {
+		return nil, err
 	}
 	s.alive[v] = true
 	s.link(v)
@@ -292,14 +312,20 @@ func (s *State) Structures() (*connector.Result, *graph.Graph, error) {
 	return s.rebuild()
 }
 
-// CheckInvariants verifies the maintained clustering: dominators form an
-// independent set of the alive UDG and every alive non-dominator has an
-// alive dominator neighbor. It returns nil when both hold.
+// CheckInvariants verifies the maintained state: no two alive nodes share
+// a position (an error wrapping ErrOccupied otherwise), dominators form an
+// independent set of the alive UDG, and every alive non-dominator has an
+// alive dominator neighbor. It returns nil when all three hold.
 func (s *State) CheckInvariants() error {
+	at := make(map[geom.Point]int, len(s.pts))
 	for v, a := range s.alive {
 		if !a {
 			continue
 		}
+		if u, dup := at[s.pts[v]]; dup {
+			return fmt.Errorf("%w: alive nodes %d and %d share %v", ErrOccupied, u, v, s.pts[v])
+		}
+		at[s.pts[v]] = v
 		switch s.status[v] {
 		case cluster.Dominator:
 			for _, u := range s.live.Neighbors(v) {

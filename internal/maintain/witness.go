@@ -24,8 +24,11 @@ import (
 
 // DefaultPatchScopeFraction is the scope-size fraction (of alive nodes)
 // above which the accumulated events are not patched and every cache is
-// rebuilt from scratch — past that point the patch would re-run most
-// decisions anyway, and the from-scratch build has better constants.
+// rebuilt from scratch. The cap trades epoch time for memory: on
+// n=1000 networks with 20-event mixed batches, patching every epoch (a
+// cap of 1) gave identical results 13–23% faster, but the heap grew
+// 20–25%, because patched witnesses and graphs keep the capacity they
+// had before the network shrank, where a rebuild sizes them afresh.
 // PatchScopeFraction == 0 selects this default; a negative value always
 // rebuilds (the measurement baseline for recompute_ratio).
 const DefaultPatchScopeFraction = 0.25

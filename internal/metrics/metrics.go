@@ -197,51 +197,3 @@ func PowerStretch(base, sub *graph.Graph, beta float64, opt StretchOptions) Stre
 	}
 	return s
 }
-
-// PairSample is the stretch measurement of one node pair.
-type PairSample struct {
-	U, V        int
-	LengthRatio float64
-	HopRatio    float64
-}
-
-// StretchSamples returns the per-pair stretch ratios underlying Stretch,
-// for distribution plots (CDFs) and per-pair diagnostics. Pairs that are
-// disconnected in the structure are omitted (Stretch counts them).
-func StretchSamples(base, sub *graph.Graph, opt StretchOptions) []PairSample {
-	fb := base.Freeze()
-	fs := sub.Freeze()
-	n := fb.N()
-	var out []PairSample
-	baseHop := make([]int, n)
-	subHop := make([]int, n)
-	parent := make([]int, n)
-	queue := make([]int32, 0, n)
-	baseLen := make([]float64, n)
-	subLen := make([]float64, n)
-	scratch := graph.NewDijkstraScratch(n)
-	for u := 0; u < n; u++ {
-		fb.BFSInto(u, baseHop, parent, queue)
-		fs.BFSInto(u, subHop, parent, queue)
-		fb.DijkstraInto(u, baseLen, parent, scratch)
-		fs.DijkstraInto(u, subLen, parent, scratch)
-		for v := u + 1; v < n; v++ {
-			if baseHop[v] == graph.Unreachable {
-				continue
-			}
-			if opt.DirectEdges && baseHop[v] == 1 {
-				out = append(out, PairSample{U: u, V: v, LengthRatio: 1, HopRatio: 1})
-				continue
-			}
-			if subHop[v] == graph.Unreachable {
-				continue
-			}
-			out = append(out, PairSample{
-				U: u, V: v,
-				LengthRatio: subLen[v] / baseLen[v],
-				HopRatio:    float64(subHop[v]) / float64(baseHop[v]),
-			})
-		}
-	}
-	return out
-}

@@ -130,50 +130,3 @@ func TestPowerStretchIdentityAndMonotone(t *testing.T) {
 		t.Fatal("Gabriel should not disconnect")
 	}
 }
-
-func TestStretchSamplesConsistentWithStretch(t *testing.T) {
-	inst, err := udg.ConnectedInstance(3, 40, 200, 60, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gg := proximity.Gabriel(inst.UDG)
-	opt := StretchOptions{}
-	s := Stretch(inst.UDG, gg, opt)
-	samples := StretchSamples(inst.UDG, gg, opt)
-	if len(samples) != s.Pairs {
-		t.Fatalf("samples %d != pairs %d", len(samples), s.Pairs)
-	}
-	var maxLen, sum float64
-	for _, p := range samples {
-		sum += p.LengthRatio
-		if p.LengthRatio > maxLen {
-			maxLen = p.LengthRatio
-		}
-		if p.LengthRatio < 1-1e-9 || p.HopRatio < 1-1e-9 {
-			t.Fatalf("ratio below 1: %+v", p)
-		}
-	}
-	if math.Abs(maxLen-s.LengthMax) > 1e-12 {
-		t.Fatalf("max mismatch: %v vs %v", maxLen, s.LengthMax)
-	}
-	if math.Abs(sum/float64(len(samples))-s.LengthAvg) > 1e-12 {
-		t.Fatal("avg mismatch")
-	}
-}
-
-func TestStretchSamplesDirectRule(t *testing.T) {
-	inst, err := udg.ConnectedInstance(4, 20, 200, 80, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := core.BuildCentralized(inst.UDG, inst.Radius)
-	if err != nil {
-		t.Fatal(err)
-	}
-	samples := StretchSamples(inst.UDG, res.LDelICDSPrime, StretchOptions{DirectEdges: true})
-	for _, p := range samples {
-		if inst.UDG.HasEdge(p.U, p.V) && (p.LengthRatio != 1 || p.HopRatio != 1) {
-			t.Fatalf("adjacent pair not ratio 1: %+v", p)
-		}
-	}
-}

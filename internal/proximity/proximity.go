@@ -109,88 +109,6 @@ func Yao(g *graph.Graph, k int) (*graph.Graph, error) {
 	return out, nil
 }
 
-// YaoYao returns the Yao-Yao graph YY_k, the bounded-degree variant the
-// paper cites (Li, Wan, Wang's "Yao and Sink" family): first each node
-// keeps its shortest out-edge per cone (Yao step), then each node prunes
-// its *incoming* chosen edges to the shortest per cone (reverse Yao step).
-// Every node ends with at most 2k incident edges.
-func YaoYao(g *graph.Graph, k int) (*graph.Graph, error) {
-	if k < 2 {
-		return nil, fmt.Errorf("proximity: yao-yao graph needs k >= 2 cones, got %d", k)
-	}
-	pts := g.Points()
-	cone := 2 * math.Pi / float64(k)
-	coneOf := func(u, v int) int {
-		theta := pts[u].Angle(pts[v])
-		if theta < 0 {
-			theta += 2 * math.Pi
-		}
-		c := int(theta / cone)
-		if c >= k {
-			c = k - 1
-		}
-		return c
-	}
-
-	// Yao step: directed out-edges, shortest per cone.
-	out := make([][]int, g.N()) // chosen out-neighbors
-	for u := 0; u < g.N(); u++ {
-		best := make([]int, k)
-		for i := range best {
-			best[i] = -1
-		}
-		for _, v := range g.Neighbors(u) {
-			c := coneOf(u, v)
-			switch {
-			case best[c] == -1:
-				best[c] = v
-			case pts[u].Dist2(pts[v]) < pts[u].Dist2(pts[best[c]]):
-				best[c] = v
-			case pts[u].Dist2(pts[v]) == pts[u].Dist2(pts[best[c]]) && v < best[c]:
-				best[c] = v
-			}
-		}
-		for _, v := range best {
-			if v >= 0 {
-				out[u] = append(out[u], v)
-			}
-		}
-	}
-
-	// Reverse Yao step: each node keeps, per cone, only the shortest
-	// incoming chosen edge.
-	incoming := make([][]int, g.N())
-	for u := range out {
-		for _, v := range out[u] {
-			incoming[v] = append(incoming[v], u)
-		}
-	}
-	yy := graph.New(pts)
-	for v := 0; v < g.N(); v++ {
-		best := make([]int, k)
-		for i := range best {
-			best[i] = -1
-		}
-		for _, u := range incoming[v] {
-			c := coneOf(v, u)
-			switch {
-			case best[c] == -1:
-				best[c] = u
-			case pts[v].Dist2(pts[u]) < pts[v].Dist2(pts[best[c]]):
-				best[c] = u
-			case pts[v].Dist2(pts[u]) == pts[v].Dist2(pts[best[c]]) && u < best[c]:
-				best[c] = u
-			}
-		}
-		for _, u := range best {
-			if u >= 0 {
-				yy.AddEdge(u, v)
-			}
-		}
-	}
-	return yy, nil
-}
-
 // UDel returns the unit Delaunay triangulation: the edges of the Delaunay
 // triangulation of all points that are also edges of g.
 func UDel(g *graph.Graph) (*graph.Graph, error) {

@@ -183,55 +183,3 @@ func TestUDelPlanarAndSparse(t *testing.T) {
 		t.Fatalf("UDel has %d edges, exceeds 3n", udel.NumEdges())
 	}
 }
-
-func TestYaoYaoDegreeBound(t *testing.T) {
-	inst := instance(t, 30, 100, 60)
-	yy, err := YaoYao(inst.UDG, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	subset(t, "YY", yy, inst.UDG)
-	// Every node keeps at most k out-edges and k incoming survivors.
-	if got := yy.MaxDegree(); got > 12 {
-		t.Fatalf("YY max degree = %d, exceeds 2k = 12", got)
-	}
-	if !yy.Connected() {
-		t.Fatal("YY(6) disconnected on connected UDG")
-	}
-}
-
-func TestYaoYaoSubsetOfYao(t *testing.T) {
-	inst := instance(t, 31, 60, 60)
-	y, err := Yao(inst.UDG, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	yy, err := YaoYao(inst.UDG, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	subset(t, "YY", yy, y)
-	if yy.NumEdges() > y.NumEdges() {
-		t.Fatal("reverse Yao step added edges")
-	}
-}
-
-func TestYaoYaoInvalidK(t *testing.T) {
-	inst := instance(t, 4, 10, 100)
-	if _, err := YaoYao(inst.UDG, 1); err == nil {
-		t.Fatal("expected error for k < 2")
-	}
-}
-
-func TestYaoYaoConnectedAcrossSeeds(t *testing.T) {
-	for seed := int64(40); seed < 48; seed++ {
-		inst := instance(t, seed, 50, 60)
-		yy, err := YaoYao(inst.UDG, 8)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !yy.Connected() {
-			t.Fatalf("seed %d: YY(8) disconnected", seed)
-		}
-	}
-}

@@ -429,42 +429,3 @@ func ValidatePath(path []int, gs ...*graph.Graph) error {
 	}
 	return nil
 }
-
-// RouteCompass implements compass routing (Kranakis, Singh, Urrutia): each
-// step forwards to the neighbor whose direction forms the smallest angle
-// with the straight line to the destination. Unlike greedy forwarding it
-// can take locally non-shortening steps — and unlike GFG it can loop
-// forever on some instances, which the step budget converts into
-// ErrNoRoute. It exists as a comparison baseline for the routing
-// experiments.
-func RouteCompass(g *graph.Graph, src, dst int, maxSteps int) ([]int, error) {
-	if maxSteps <= 0 {
-		maxSteps = 4 * g.N()
-	}
-	pts := g.Points()
-	path := []int{src}
-	cur := src
-	for steps := 0; cur != dst; steps++ {
-		if steps > maxSteps {
-			return path, fmt.Errorf("%w: compass step budget exhausted", ErrNoRoute)
-		}
-		target := pts[dst]
-		best, bestAngle := -1, math.Inf(1)
-		for _, v := range g.Neighbors(cur) {
-			if v == dst {
-				best = dst
-				break
-			}
-			a := geom.AngleAt(pts[cur], target, pts[v])
-			if a < bestAngle || (a == bestAngle && v < best) {
-				best, bestAngle = v, a
-			}
-		}
-		if best == -1 {
-			return path, fmt.Errorf("%w: node %d has no neighbors", ErrNoRoute, cur)
-		}
-		path = append(path, best)
-		cur = best
-	}
-	return path, nil
-}

@@ -219,62 +219,3 @@ func TestGFGPathNotAbsurdlyLong(t *testing.T) {
 		}
 	}
 }
-
-func TestCompassDeliversOnPath(t *testing.T) {
-	pts := []geom.Point{geom.Pt(0, 0), geom.Pt(1, 0), geom.Pt(2, 0), geom.Pt(3, 0)}
-	g := udg.Build(pts, 1)
-	path, err := RouteCompass(g, 0, 3, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(path) != 4 {
-		t.Fatalf("path = %v", path)
-	}
-}
-
-func TestCompassCanTakeNonGreedySteps(t *testing.T) {
-	// At the C-shape local minimum, compass still makes a move (the
-	// angularly best neighbor) where greedy gives up.
-	g, src, dst := cShape()
-	path, err := RouteCompass(g, src, dst, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if path[len(path)-1] != dst {
-		t.Fatalf("compass did not reach dst: %v", path)
-	}
-}
-
-func TestCompassBudgetOnDisconnected(t *testing.T) {
-	pts := []geom.Point{geom.Pt(0, 0), geom.Pt(1, 0), geom.Pt(10, 0)}
-	g := udg.Build(pts, 1)
-	if _, err := RouteCompass(g, 0, 2, 20); err == nil {
-		t.Fatal("expected failure routing to a disconnected node")
-	}
-}
-
-func TestCompassDeliveryOnGabriel(t *testing.T) {
-	// Compass routing is known to deliver on Delaunay-like planar graphs
-	// in most configurations; count its delivery rate and require sanity
-	// (it must deliver the vast majority on a Gabriel graph).
-	inst, err := udg.ConnectedInstance(2, 40, 200, 60, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gg := proximity.Gabriel(inst.UDG)
-	delivered, attempts := 0, 0
-	for s := 0; s < gg.N(); s += 2 {
-		for d := 1; d < gg.N(); d += 3 {
-			if s == d {
-				continue
-			}
-			attempts++
-			if path, err := RouteCompass(gg, s, d, 0); err == nil && path[len(path)-1] == d {
-				delivered++
-			}
-		}
-	}
-	if float64(delivered) < 0.9*float64(attempts) {
-		t.Fatalf("compass delivered only %d/%d on Gabriel", delivered, attempts)
-	}
-}

@@ -157,12 +157,16 @@ type Server struct {
 }
 
 // New builds a server over its own copy of the positions, derives the
-// initial backbone, and publishes epoch 0. The initial derivation is not
-// counted as a recompute: the recompute-ratio metric measures maintenance,
-// not construction.
+// initial backbone, and publishes epoch 0. It refuses a point set in which
+// two points coincide (an error wrapping maintain.ErrOccupied). The
+// initial derivation is not counted as a recompute: the recompute-ratio
+// metric measures maintenance, not construction.
 func New(pts []geom.Point, radius float64, opts ...Option) (*Server, error) {
 	s := configure(opts)
 	s.st = maintain.New(append([]geom.Point(nil), pts...), radius)
+	if err := s.st.CheckInvariants(); err != nil {
+		return nil, fmt.Errorf("serve: %w", err)
+	}
 	if err := s.start(); err != nil {
 		return nil, fmt.Errorf("serve: %w", err)
 	}

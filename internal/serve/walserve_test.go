@@ -5,7 +5,9 @@ import (
 	"errors"
 	"testing"
 
+	"geospanner/internal/geom"
 	"geospanner/internal/maintain"
+	"geospanner/internal/udg"
 	"geospanner/internal/wal"
 )
 
@@ -191,4 +193,52 @@ func TestStatsReportWAL(t *testing.T) {
 		t.Fatalf("non-durable server reports wal stats: %+v", st)
 	}
 	_ = inst
+}
+
+// TestCoLocatingMoveRejected: a move that would put two alive nodes at one
+// position is a rejected no-op, so the epoch publishes, later epochs
+// apply, and the log that recorded the move recovers to the live
+// fingerprint. Two coinciding nodes would make every later planarization
+// fail (the local Delaunay triangulation rejects duplicate points).
+func TestCoLocatingMoveRejected(t *testing.T) {
+	inst, err := udg.ConnectedInstance(7, 200, 400, 60, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	s, err := New(inst.Points, inst.Radius, WithWAL(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ep, err := s.Apply([]maintain.Event{maintain.NewMove(5, inst.Points[3])})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ep.Seq != 1 || ep.Stats.Batch.Rejected != 1 || ep.Stats.Batch.ByKind[maintain.EventMove].Rejected != 1 {
+		t.Fatalf("co-locating move: epoch %d, batch %+v", ep.Seq, ep.Stats.Batch)
+	}
+	if got := s.State().Positions()[5]; got != inst.Points[5] {
+		t.Fatalf("rejected move relocated node 5 to %v", got)
+	}
+	sched := NewScheduler(8, inst.Points, 400, inst.Radius)
+	if ep, err = s.Apply(sched.Batch(10)); err != nil {
+		t.Fatal(err)
+	}
+	rec, _, err := Recover(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rec.Close()
+	if rec.Current().Seq != 2 || rec.Current().Fingerprint() != ep.Fingerprint() {
+		t.Fatalf("recovered epoch %d does not match the live epoch %d", rec.Current().Seq, ep.Seq)
+	}
+}
+
+// TestNewRefusesCoincidentPoints: a point set with two equal points breaks
+// the distinct-positions invariant before any backbone is built.
+func TestNewRefusesCoincidentPoints(t *testing.T) {
+	pts := []geom.Point{geom.Pt(0, 0), geom.Pt(10, 0), geom.Pt(0, 0)}
+	if _, err := New(pts, 60); !errors.Is(err, maintain.ErrOccupied) {
+		t.Fatalf("New with coincident points: %v", err)
+	}
 }

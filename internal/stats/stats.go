@@ -34,15 +34,6 @@ func Summarize(xs []float64) Summary {
 	return s
 }
 
-// SummarizeInts returns the summary of an integer sample.
-func SummarizeInts(xs []int) Summary {
-	fs := make([]float64, len(xs))
-	for i, x := range xs {
-		fs[i] = float64(x)
-	}
-	return Summarize(fs)
-}
-
 // Percentile returns the p-th percentile (0..100) of xs using linear
 // interpolation. It returns NaN for an empty sample.
 func Percentile(xs []float64, p float64) float64 {

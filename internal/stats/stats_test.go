@@ -20,13 +20,6 @@ func TestSummarizeEmpty(t *testing.T) {
 	}
 }
 
-func TestSummarizeInts(t *testing.T) {
-	s := SummarizeInts([]int{4, 8})
-	if s.Mean != 6 || s.Min != 4 || s.Max != 8 {
-		t.Fatalf("Summary = %+v", s)
-	}
-}
-
 func TestSummarizeNegative(t *testing.T) {
 	s := Summarize([]float64{-5, 5})
 	if s.Min != -5 || s.Max != 5 || s.Mean != 0 {
